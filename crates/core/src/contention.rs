@@ -585,16 +585,14 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
         .map(|e| e.end())
         .max();
 
+    // One immutable CLIP model for the whole cell; every tenant holds a clone.
+    let model = ClipModel::mobile_default();
     let states: Vec<TenantState> = tenants
         .into_iter()
         .map(|spec| {
             let gcc = GccController::new(spec.options.gcc);
             let transport = Transport::new(&spec.options, gcc.estimate_bps());
-            let compute = NetCompute::new(
-                spec.options.clone(),
-                StreamerConfig::default(),
-                ClipModel::mobile_default(),
-            );
+            let compute = NetCompute::new(spec.options.clone(), StreamerConfig::default(), model.clone());
             TenantState {
                 spec,
                 compute,

@@ -251,9 +251,10 @@ impl NetCompute {
     }
 
     /// Re-derives the text query only when the question changes (same memoization as
-    /// [`crate::ChatSession`]).
+    /// [`crate::ChatSession`]). Baseline mode never reads the query, so it derives none.
     fn refresh_query(&mut self, question: &Question) {
-        if self.cached_question.as_ref() != Some(question) {
+        if self.options.mode == StreamingMode::ContextAware && self.cached_question.as_ref() != Some(question)
+        {
             self.query = TextQuery::from_words_and_concepts(
                 &question.text,
                 self.clip_model.ontology(),

@@ -13,13 +13,15 @@
 //!   plain values overwritten in place, and the pool dispatches without allocating, so
 //!   post-warmup `run_turns` performs zero heap allocations (guarded by
 //!   `crates/bench/tests/zero_alloc.rs`);
-//! * **near-linear scaling** — sessions share nothing, so throughput scales with lanes up
-//!   to the core count (the `pipeline_throughput_{1,8,64}_sessions` benchmarks).
+//! * **near-linear scaling** — sessions share nothing mutable (only the server's one
+//!   immutable CLIP model, see [`ClipModel`]), so throughput scales with lanes up to the
+//!   core count (the `pipeline_throughput_{1,8,64}_sessions` benchmarks).
 //!
 //! Sessions running on server lanes use the sequential stage paths internally — the pool
 //! rejects nested parallel sections, and across-session parallelism already saturates the
 //! cores at server scale (DESIGN.md §"Threading model").
 
+use crate::context_aware::StreamerConfig;
 use crate::conversation::{Conversation, ConversationReport};
 use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport, NetworkedChatSession};
 use crate::net_turn::{NetEvent, NetEventSink, PacketRun, TurnPlan};
@@ -29,6 +31,7 @@ use aivc_mllm::{Answer, Question};
 use aivc_netsim::LinkCounters;
 use aivc_par::MiniPool;
 use aivc_scene::Frame;
+use aivc_semantics::ClipModel;
 use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
 
 /// Why a fleet of conversations was rejected at server admission
@@ -201,12 +204,19 @@ pub struct ChatServer {
 impl ChatServer {
     /// Creates a server with `session_count` default sessions (seeds `base_seed + i`, so
     /// every session is an independent, reproducible conversation) on a pool of
-    /// `pool_size` lanes.
+    /// `pool_size` lanes. The sessions share one CLIP model, built here.
     pub fn new(pool_size: usize, session_count: usize, base_seed: u64) -> Self {
+        let model = ClipModel::mobile_default();
         Self::with_sessions(
             MiniPool::new(pool_size),
             (0..session_count)
-                .map(|i| ChatSession::with_defaults(base_seed.wrapping_add(i as u64)))
+                .map(|i| {
+                    ChatSession::new(
+                        StreamerConfig::default(),
+                        model.clone(),
+                        base_seed.wrapping_add(i as u64),
+                    )
+                })
                 .collect(),
         )
     }
@@ -287,15 +297,17 @@ pub struct NetworkedChatServer {
 impl NetworkedChatServer {
     /// Creates a server of `session_count` sessions sharing `template`'s network and ABR
     /// configuration, with per-session seeds `template.seed + i` (independent loss/jitter
-    /// streams and answer draws per user) on a pool of `pool_size` lanes.
+    /// streams and answer draws per user) on a pool of `pool_size` lanes. The sessions
+    /// share one CLIP model, built here.
     pub fn new(pool_size: usize, session_count: usize, template: NetSessionOptions) -> Self {
+        let model = ClipModel::mobile_default();
         Self::with_sessions(
             MiniPool::new(pool_size),
             (0..session_count)
                 .map(|i| {
                     let mut options = template.clone();
                     options.seed = template.seed.wrapping_add(i as u64);
-                    NetworkedChatSession::with_defaults(options)
+                    NetworkedChatSession::new(options, StreamerConfig::default(), model.clone())
                 })
                 .collect(),
         )
@@ -541,20 +553,22 @@ pub struct ConversationChatServer {
 impl ConversationChatServer {
     /// Creates a server of `session_count` conversations sharing `template`'s network and
     /// ABR configuration, with per-session seeds `template.seed + i` and a common
-    /// `think_gap`, on a pool of `pool_size` lanes.
+    /// `think_gap`, on a pool of `pool_size` lanes. The conversations share one CLIP
+    /// model, built here.
     pub fn new(
         pool_size: usize,
         session_count: usize,
         template: NetSessionOptions,
         think_gap: SimDuration,
     ) -> Self {
+        let model = ClipModel::mobile_default();
         Self::with_sessions(
             MiniPool::new(pool_size),
             (0..session_count)
                 .map(|i| {
                     let mut options = template.clone();
                     options.seed = template.seed.wrapping_add(i as u64);
-                    Conversation::with_defaults(options, think_gap)
+                    Conversation::new(options, StreamerConfig::default(), model.clone(), think_gap)
                 })
                 .collect(),
         )

@@ -125,6 +125,10 @@ impl Ontology {
     /// `relatedness(a, b) = max(direct(a, b), 0.5 * max_c direct(a, c) * direct(c, b))`.
     /// This captures chains such as *floppy-ears — dog-head — dog* without requiring every
     /// pair to be declared explicitly.
+    ///
+    /// This is the pairwise query: `O(C)` string-keyed lookups per call. Code that needs
+    /// every pair (the concept-space build) reads [`Ontology::relatedness_table`] instead,
+    /// which holds bit-identical values.
     pub fn relatedness(&self, a: &Concept, b: &Concept) -> f64 {
         let direct = self.direct_relatedness(a, b);
         if direct >= 1.0 {
@@ -141,6 +145,71 @@ impl Ontology {
             }
         }
         best
+    }
+
+    /// [`Ontology::relatedness`] for every ordered concept pair, indexed by position in
+    /// [`Ontology::concepts`] (lexicographic order): `table[i][j] == relatedness(c_i, c_j)`,
+    /// bit for bit.
+    ///
+    /// The direct weights are laid out once as a dense index-keyed matrix, plus each
+    /// concept's list of declared neighbours, so the one-hop closure costs
+    /// `O(C² · degree)` float operations and no map lookups or string clones, where
+    /// calling `relatedness` for all pairs costs `O(C³)` string-keyed map lookups.
+    ///
+    /// The closure repeats `relatedness`'s float operations in the same order (the same
+    /// `0.5 · d[a][c] · d[c][b]` products, the same strict `>` replacement), which is what
+    /// keeps the two bit-identical. Visiting only neighbours `c` with `d[a][c] > 0` is
+    /// exact: `relate` stores only weights in `[0, 1]` (a deserialized ontology is trusted
+    /// to keep that invariant), so every skipped `via` is `+0.0`, which cannot exceed
+    /// `best ≥ +0.0`.
+    pub fn relatedness_table(&self) -> Vec<Vec<f64>> {
+        let concepts: Vec<&Concept> = self.concepts.iter().collect();
+        let n = concepts.len();
+        let mut direct = vec![vec![0.0; n]; n];
+        for (i, row) in direct.iter_mut().enumerate() {
+            row[i] = 1.0;
+        }
+        for ((a, b), &w) in &self.relations {
+            // Both endpoints are registered by `relate`; a relation naming an unregistered
+            // concept (only reachable through deserialization) never enters a query.
+            if let (Ok(i), Ok(j)) = (concepts.binary_search(&a), concepts.binary_search(&b)) {
+                direct[i][j] = w;
+                direct[j][i] = w;
+            }
+        }
+        let neighbours: Vec<Vec<(usize, f64)>> = direct
+            .iter()
+            .enumerate()
+            .map(|(a, row)| {
+                (0..n)
+                    .filter(|&c| c != a && row[c] > 0.0)
+                    .map(|c| (c, row[c]))
+                    .collect()
+            })
+            .collect();
+        (0..n)
+            .map(|a| {
+                (0..n)
+                    .map(|b| {
+                        let d = direct[a][b];
+                        if d >= 1.0 {
+                            return 1.0;
+                        }
+                        let mut best = d;
+                        for &(c, d_ac) in &neighbours[a] {
+                            if c == b {
+                                continue;
+                            }
+                            let via = 0.5 * d_ac * direct[c][b];
+                            if via > best {
+                                best = via;
+                            }
+                        }
+                        best
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// All concepts whose relatedness to `query` is at least `threshold`, most related first.

@@ -12,6 +12,7 @@ use aivc_par::MiniPool;
 use aivc_scene::grid_content::GridContent;
 use aivc_scene::{Concept, Frame, GridDims, Ontology, Rect, RegionContent};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Chunks handed to the pool per lane by the data-parallel paths: a few per lane smooth
 /// out load imbalance across patch rows while keeping chunks large enough that the
@@ -284,11 +285,15 @@ impl ClipParScratch {
 }
 
 /// The CLIP-like model: ontology-grounded concept space + encoders.
+///
+/// The model is immutable once built, and its ontology and concept space sit behind
+/// [`Arc`]s: `clone()` is two reference-count bumps, so a fleet builds one model and hands
+/// every session a clone. The last clone to drop frees the model.
 #[derive(Debug, Clone)]
 pub struct ClipModel {
     config: ClipConfig,
-    ontology: Ontology,
-    space: ConceptSpace,
+    ontology: Arc<Ontology>,
+    space: Arc<ConceptSpace>,
 }
 
 impl ClipModel {
@@ -297,8 +302,8 @@ impl ClipModel {
         let space = ConceptSpace::build(&ontology, config.dim);
         Self {
             config,
-            ontology,
-            space,
+            ontology: Arc::new(ontology),
+            space: Arc::new(space),
         }
     }
 

@@ -22,17 +22,15 @@ pub struct TextQuery {
 impl TextQuery {
     /// Builds a query by lexically matching `text` against the ontology vocabulary.
     pub fn from_words(text: &str, ontology: &Ontology) -> Self {
-        let normalized = normalize(text);
-        let padded = format!(" {normalized} ");
+        let padded = format!(" {} ", normalize(text));
         let mut concepts = Vec::new();
         for concept in ontology.concepts() {
             let name = concept.name();
+            let multi_word = name.contains('-');
             // A concept "dog-head" should match the surface forms "dog-head", "dog head".
-            let surface = format!(" {} ", name.replace('-', " "));
-            let hyphened = format!(" {name} ");
-            if padded.contains(&surface) || padded.contains(&hyphened) {
+            if mentions(&padded, name, false) || (multi_word && mentions(&padded, name, true)) {
                 // Multi-word concepts are more specific; weight them a little higher.
-                let weight = if name.contains('-') { 1.0 } else { 0.9 };
+                let weight = if multi_word { 1.0 } else { 0.9 };
                 concepts.push((concept.clone(), weight));
             }
         }
@@ -83,6 +81,23 @@ impl TextQuery {
     }
 }
 
+/// True when `padded` (space-padded normalized text) contains `name` as a whole-word run,
+/// i.e. contains `" {name} "`; with `hyphens_as_spaces`, every `-` of `name` matches a
+/// space instead (`" dog head "` for `dog-head`). Compares bytes in place, allocating
+/// nothing; `-` and space are ASCII, so a byte comparison never splits a UTF-8 character.
+fn mentions(padded: &str, name: &str, hyphens_as_spaces: bool) -> bool {
+    let name = name.as_bytes();
+    let expected = |n: u8| if hyphens_as_spaces && n == b'-' { b' ' } else { n };
+    padded.as_bytes().windows(name.len() + 2).any(|window| {
+        window[0] == b' '
+            && window[name.len() + 1] == b' '
+            && window[1..=name.len()]
+                .iter()
+                .zip(name)
+                .all(|(&t, &n)| t == expected(n))
+    })
+}
+
 /// Lowercases and strips punctuation/possessives so lexical matching is robust.
 fn normalize(text: &str) -> String {
     let lowered = text.to_lowercase().replace("'s", " ");
@@ -98,6 +113,7 @@ fn normalize(text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aivc_scene::templates::TemplateKind;
 
     fn ontology() -> Ontology {
         Ontology::standard()
@@ -141,6 +157,56 @@ mod tests {
         let logo_count = q.concepts.iter().filter(|(c, _)| c.name() == "logo").count();
         assert_eq!(logo_count, 1);
         assert!(q.concepts.iter().any(|(c, _)| c.name() == "player"));
+    }
+
+    /// The per-concept-string matcher `from_words` used before [`mentions`].
+    fn reference_concepts(text: &str, ontology: &Ontology) -> Vec<(Concept, f64)> {
+        let padded = format!(" {} ", normalize(text));
+        let mut concepts = Vec::new();
+        for concept in ontology.concepts() {
+            let name = concept.name();
+            let surface = format!(" {} ", name.replace('-', " "));
+            let hyphened = format!(" {name} ");
+            if padded.contains(&surface) || padded.contains(&hyphened) {
+                let weight = if name.contains('-') { 1.0 } else { 0.9 };
+                concepts.push((concept.clone(), weight));
+            }
+        }
+        concepts
+    }
+
+    #[test]
+    fn in_place_matching_matches_the_string_building_reference() {
+        let o = ontology();
+        let mut texts: Vec<String> = Vec::new();
+        for kind in TemplateKind::ALL {
+            for seed in 0..8 {
+                texts.extend(kind.build(seed).facts.into_iter().map(|f| f.question));
+            }
+        }
+        let edge_cases = [
+            "Is the dog's head showing floppy ears?",
+            "Is the dog erect-eared, with erect-ears or erect ears?",
+            "Read the license plate, then the license-plate and the traffic light",
+            "dog-head",
+            "DOG HEAD",
+            "The audience-stand's seats",
+            "dog-headed",
+            "headdog head-dog",
+            "zzz qqq xyzzy",
+            "",
+            "  ",
+            "-",
+            "über straße: naïve café's",
+        ];
+        texts.extend(edge_cases.iter().map(|t| t.to_string()));
+        let mut matched = 0;
+        for text in &texts {
+            let want = reference_concepts(text, &o);
+            matched += usize::from(!want.is_empty());
+            assert_eq!(TextQuery::from_words(text, &o).concepts, want, "{text:?}");
+        }
+        assert!(matched > texts.len() / 2, "too few texts match any concept");
     }
 
     #[test]

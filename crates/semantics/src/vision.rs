@@ -16,7 +16,8 @@ use std::collections::BTreeMap;
 /// `embedding(c) = normalize( Σ_{c'} relatedness(c, c') · base(c') )`, where `base(c')` is a
 /// deterministic pseudo-random unit direction. Related concepts therefore share components
 /// and their embeddings have high cosine similarity, which is exactly the property CLIP's
-/// joint training produces for semantically related text/image content.
+/// joint training produces for semantically related text/image content. The weights come
+/// from [`Ontology::relatedness_table`], computed once per build.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ConceptSpace {
     dim: usize,
@@ -29,29 +30,37 @@ pub struct ConceptSpace {
 
 impl ConceptSpace {
     /// Builds the concept space for an ontology.
+    ///
+    /// One [`Ontology::relatedness_table`] supplies every weight; each embedding sums the
+    /// weighted bases in concept order, the order the pairwise build used, so the table
+    /// is bit-identical to one built from `C²` [`Ontology::relatedness`] queries.
     pub fn build(ontology: &Ontology, dim: usize) -> Self {
         assert!(
             dim >= 8,
             "embedding dimension too small to keep concepts separable"
         );
-        let concepts: Vec<Concept> = ontology.concepts().cloned().collect();
-        let bases: BTreeMap<Concept, Embedding> = concepts
-            .iter()
-            .map(|c| (c.clone(), Embedding::seeded_direction(c.name(), dim)))
+        let bases: Vec<Embedding> = ontology
+            .concepts()
+            .map(|c| Embedding::seeded_direction(c.name(), dim))
             .collect();
-        let mut table = Vec::with_capacity(concepts.len());
-        let mut index = BTreeMap::new();
-        for c in &concepts {
-            let mut acc = Embedding::zeros(dim);
-            for other in &concepts {
-                let w = ontology.relatedness(c, other);
-                if w > 0.0 {
-                    acc.add_scaled(&bases[other], w);
+        let table = ontology
+            .relatedness_table()
+            .iter()
+            .map(|weights| {
+                let mut acc = Embedding::zeros(dim);
+                for (base, &w) in bases.iter().zip(weights) {
+                    if w > 0.0 {
+                        acc.add_scaled(base, w);
+                    }
                 }
-            }
-            index.insert(c.clone(), table.len() as u32);
-            table.push(acc.normalized());
-        }
+                acc.normalized()
+            })
+            .collect();
+        let index = ontology
+            .concepts()
+            .enumerate()
+            .map(|(i, c)| (c.clone(), i as u32))
+            .collect();
         Self { dim, table, index }
     }
 
@@ -154,6 +163,46 @@ mod tests {
 
     fn space() -> ConceptSpace {
         ConceptSpace::build(&Ontology::standard(), 64)
+    }
+
+    /// The pre-table build: one `Ontology::relatedness` query per concept pair, each
+    /// embedding accumulated over the other concepts in order.
+    fn reference_build(ontology: &Ontology, dim: usize) -> (Vec<Embedding>, BTreeMap<Concept, u32>) {
+        let concepts: Vec<Concept> = ontology.concepts().cloned().collect();
+        let bases: BTreeMap<Concept, Embedding> = concepts
+            .iter()
+            .map(|c| (c.clone(), Embedding::seeded_direction(c.name(), dim)))
+            .collect();
+        let mut table = Vec::new();
+        let mut index = BTreeMap::new();
+        for c in &concepts {
+            let mut acc = Embedding::zeros(dim);
+            for other in &concepts {
+                let w = ontology.relatedness(c, other);
+                if w > 0.0 {
+                    acc.add_scaled(&bases[other], w);
+                }
+            }
+            index.insert(c.clone(), table.len() as u32);
+            table.push(acc.normalized());
+        }
+        (table, index)
+    }
+
+    #[test]
+    fn table_build_is_bit_identical_to_pairwise_reference() {
+        let ontology = Ontology::standard();
+        for dim in [8, 64] {
+            let space = ConceptSpace::build(&ontology, dim);
+            let (table, index) = reference_build(&ontology, dim);
+            assert_eq!(space.index, index, "dim {dim}");
+            assert_eq!(space.table.len(), table.len(), "dim {dim}");
+            for (i, (got, want)) in space.table.iter().zip(&table).enumerate() {
+                let got: Vec<u64> = got.values().iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> = want.values().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "dim {dim}, concept {i}");
+            }
+        }
     }
 
     #[test]

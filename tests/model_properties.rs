@@ -1,17 +1,20 @@
 //! Property-based tests of the core models' invariants across crates: Eq. 1 bounds, Eq. 2
 //! monotonicity (and LUT ≡ `powf` equivalence), R-D monotonicity, accuracy monotonicity in
-//! quality, and incremental-correlation ≡ full-recompute equivalence.
+//! quality, incremental-correlation ≡ full-recompute equivalence, and relatedness-table ≡
+//! pairwise-relatedness equivalence.
 
 use aivchat::core::{ChatServer, ChatSession, QpAllocator, QpAllocatorConfig};
 use aivchat::mllm::{MllmChat, Question, QuestionFormat};
 use aivchat::par::MiniPool;
 use aivchat::scene::templates::TemplateKind;
-use aivchat::scene::{Frame, SourceConfig, VideoSource};
+use aivchat::scene::{Concept, Frame, Ontology, SourceConfig, VideoSource};
 use aivchat::semantics::{ClipModel, ClipParScratch, ClipScratch, TextQuery};
 use aivchat::videocodec::{
     Decoder, EncodeParScratch, EncodedFrame, Encoder, EncoderConfig, FrameType, Qp, QpMap, RdModel,
 };
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -255,5 +258,80 @@ proptest! {
             prop_assert!(p >= question.format.guess_floor() - 1e-9);
             previous = p;
         }
+    }
+}
+
+/// Asserts `ontology.relatedness_table()` equals `relatedness` on every ordered pair, bit
+/// for bit.
+fn assert_table_matches_pairwise(ontology: &Ontology) -> Result<(), TestCaseError> {
+    let concepts: Vec<&Concept> = ontology.concepts().collect();
+    let table = ontology.relatedness_table();
+    prop_assert_eq!(table.len(), concepts.len());
+    for (row, a) in table.iter().zip(&concepts) {
+        prop_assert_eq!(row.len(), concepts.len());
+        for (&got, b) in row.iter().zip(&concepts) {
+            let want = ontology.relatedness(a, b);
+            prop_assert!(
+                got.to_bits() == want.to_bits(),
+                "{a} / {b}: table {got} != pairwise {want}"
+            );
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn relatedness_table_is_bit_identical_on_the_standard_ontology() {
+    assert_table_matches_pairwise(&Ontology::standard()).unwrap();
+    assert_table_matches_pairwise(&Ontology::new()).unwrap();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The index-keyed relatedness table equals the pairwise query bit for bit on random
+    /// ontologies: weights drawn from a small palette (exact 1.0, repeated values that tie
+    /// one-hop paths, values outside [0, 1] that `relate` clamps) or continuously,
+    /// re-declared pairs, isolated concepts, and explicitly tied two-path triangles.
+    #[test]
+    fn relatedness_table_is_bit_identical_on_random_ontologies(
+        seed in 0u64..1_000_000,
+        concepts in 1usize..24,
+        relations in 0usize..80,
+        isolated in 0usize..4,
+        ties in 0usize..4,
+    ) {
+        const PALETTE: [f64; 8] = [1.0, 0.5, 0.8, 0.8, 0.3, -0.4, 1.6, 0.0];
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let name = |i: usize| format!("c{:02}", (i * 37) % 97);
+        let weight = |rng: &mut ChaCha8Rng| {
+            if rng.gen_bool(0.5) {
+                PALETTE[rng.gen_range(0..PALETTE.len())]
+            } else {
+                rng.gen_range(-0.5f64..1.5)
+            }
+        };
+        let mut ontology = Ontology::new();
+        for i in 0..concepts {
+            ontology.add_concept(name(i).as_str());
+        }
+        for i in 0..isolated {
+            ontology.add_concept(format!("isolated-{i}").as_str());
+        }
+        for _ in 0..relations {
+            let (a, b) = (rng.gen_range(0..concepts), rng.gen_range(0..concepts));
+            let w = weight(&mut rng);
+            ontology.relate(name(a).as_str(), name(b).as_str(), w);
+        }
+        for t in 0..ties {
+            // a — m1 — b and a — m2 — b with equal weights: two tied one-hop paths.
+            let (w1, w2) = (weight(&mut rng), weight(&mut rng));
+            let (a, b) = (format!("tie{t}-a"), format!("tie{t}-b"));
+            for m in [format!("tie{t}-m1"), format!("tie{t}-m2")] {
+                ontology.relate(a.as_str(), m.as_str(), w1);
+                ontology.relate(m.as_str(), b.as_str(), w2);
+            }
+        }
+        assert_table_matches_pairwise(&ontology)?;
     }
 }
