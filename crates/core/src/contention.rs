@@ -1,22 +1,22 @@
 //! Multi-tenant contention: K conversations (plus cross-traffic) on one shared bottleneck.
 //!
 //! Single-tenant experiments ([`crate::Conversation`]) give every session a private link,
-//! so PR 6's outage resilience is only ever proven in isolation. Production serving is the
+//! so outage resilience is only ever proven in isolation. Production serving is the
 //! opposite: many users squeeze through one uplink/cell, and a blackout there hits every
 //! tenant at once. This module multiplexes K persistent conversation timelines onto **one**
 //! `aivc-sim` event queue and **one** [`SharedLink`]:
 //!
-//! * every tenant keeps its own [`NetCompute`]/[`GccController`]/[`Transport`] — exactly
-//!   the state a [`crate::Conversation`] owns — but its uplink packets ride a shared
-//!   bottleneck as one flow among K (+ cross-traffic), via
-//!   [`crate::net_turn::UplinkPort::Shared`];
+//! * every tenant is a [`crate::Conversation`] — the one member type every driver runs —
+//!   whose uplink packets ride a shared bottleneck as one flow among K (+ cross-traffic),
+//!   via [`crate::net_turn::UplinkPort::Shared`], and whose events reach the global queue
+//!   through the same member-tagged sink a lane shard uses;
 //! * tenant turn lifecycles become events ([`MtEvent::TurnBegin`]/[`MtEvent::TurnEnd`])
-//!   on the global timeline, so turns of different tenants interleave packet-by-packet in
-//!   strict chronological order — the dslab-style ping-pong actor pattern, scaled out;
+//!   on the global timeline, because tenants join, think and turn on their own schedules;
+//!   turns of different tenants interleave packet-by-packet in strict chronological order;
 //! * a **starvation watchdog** samples per-tenant goodput every fairness window: a tenant
-//!   whose share stays below a configured floor for consecutive windows gets its PR 6
-//!   degradation ladder escalated ([`GccController::force_fallback`]) and the event is
-//!   *counted*, never silently absorbed;
+//!   whose share stays below a configured floor for consecutive windows gets its
+//!   degradation ladder escalated ([`aivc_rtc::cc::GccController::force_fallback`]) and
+//!   the event is *counted*, never silently absorbed;
 //! * **fairness telemetry** records each window's per-tenant share and Jain's index, plus
 //!   a post-recovery index over everything delivered after the last shared outage ends;
 //! * **late-joiner admission** clamps a joining tenant's initial estimate to its fair
@@ -31,15 +31,11 @@
 //! deterministic, and no integer-microsecond schedule in the registry exhibits the tie.
 
 use crate::context_aware::StreamerConfig;
-use crate::conversation::ConversationReport;
-use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport};
-use crate::net_turn::{
-    begin_turn_window, conclude_turn_window, finish_turn, NetCompute, NetEvent, NetEventSink, PacketRun,
-    Transport, TurnMachine, TurnPlan, UplinkPort,
-};
+use crate::conversation::{Conversation, ConversationReport};
+use crate::net_session::NetSessionOptions;
+use crate::net_turn::{MemberEvent, MemberSink, TurnPlan, UplinkPort};
 use aivc_mllm::Question;
-use aivc_netsim::{jain_index, FaultKind, LatencyStats, LinkConfig, LinkCounters, Packet, SharedLink};
-use aivc_rtc::cc::GccController;
+use aivc_netsim::{jain_index, FaultKind, LinkConfig, LinkCounters, Packet, SharedLink};
 use aivc_scene::Frame;
 use aivc_semantics::ClipModel;
 use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
@@ -227,8 +223,9 @@ impl ContentionReport {
 /// Events of the multi-tenant timeline.
 #[derive(Debug)]
 enum MtEvent {
-    /// A tenant's transport event (capture, send, arrival, poll, feedback).
-    Net { tenant: usize, ev: NetEvent },
+    /// A tenant's transport event (capture, send, arrival, poll, feedback); the member
+    /// index is the tenant index.
+    Net(MemberEvent),
     /// A tenant's next turn window opens.
     TurnBegin { tenant: usize },
     /// A tenant's turn deadline passed: conclude and report.
@@ -239,67 +236,23 @@ enum MtEvent {
     FairnessTick,
 }
 
-/// Tags a tenant's [`NetEvent`]s on their way into the global queue.
-struct TenantSink<'a> {
-    tenant: usize,
-    sim: &'a mut Simulation<MtEvent>,
-}
-
-impl NetEventSink for TenantSink<'_> {
-    fn schedule_net(&mut self, when: SimTime, event: NetEvent) {
-        self.sim.schedule_at(
-            when,
-            MtEvent::Net {
-                tenant: self.tenant,
-                ev: event,
-            },
-        );
-    }
-
-    fn schedule_net_run(&mut self, when: SimTime, mut run: PacketRun) {
-        // The run's seq lives on the *global* multi-tenant timeline.
-        run.seq = self.sim.next_seq();
-        self.sim.schedule_at(
-            when,
-            MtEvent::Net {
-                tenant: self.tenant,
-                ev: NetEvent::UplinkRun(run),
-            },
-        );
-    }
-
-    fn reschedule_net_run(&mut self, when: SimTime, run: PacketRun) {
-        self.sim.schedule_at_with_seq(
-            when,
-            run.seq,
-            MtEvent::Net {
-                tenant: self.tenant,
-                ev: NetEvent::UplinkRun(run),
-            },
-        );
+impl From<MemberEvent> for MtEvent {
+    fn from(event: MemberEvent) -> Self {
+        MtEvent::Net(event)
     }
 }
 
-/// Per-tenant engine state: everything a [`crate::Conversation`] owns, minus the private
-/// simulation (the timeline is global here).
+/// Per-tenant engine state: the tenant's conversation plus the contention bookkeeping
+/// around it.
 struct TenantState {
     spec: TenantSpec,
-    compute: NetCompute,
-    gcc: GccController,
-    transport: Transport,
-    /// Turns whose window has opened (≥ turns reported; they differ while one is live).
-    turns_begun: usize,
-    /// The live (or most recent) turn's plan.
+    conversation: Conversation,
+    /// The live turn's plan; `None` before the first turn and between turns.
     plan: Option<TurnPlan>,
     /// `[first capture, last capture]` of the live turn — the span inside which a
     /// fairness window is *eligible* for starvation accounting (a tenant thinking or
     /// draining is silent by design, not starved).
     capture_span: Option<(SimTime, SimTime)>,
-    reports: Vec<NetTurnReport>,
-    estimate_at_turn_start_bps: Vec<f64>,
-    carryover_queue_delay_ms: Vec<f64>,
-    turn_target_swing_bps: Vec<f64>,
-    frame_latencies: Vec<SimDuration>,
     starve_streak: u32,
     starvation_events: u64,
     /// `delivered_bytes` of this tenant's flow at the last fairness tick.
@@ -308,41 +261,12 @@ struct TenantState {
 
 impl TenantState {
     fn finished(&self) -> bool {
-        self.reports.len() >= self.spec.turns.len()
+        self.conversation.turn_count() >= self.spec.turns.len()
     }
 
     /// Mid-conversation: the first window has opened and the last turn has not reported.
     fn mid_conversation(&self) -> bool {
-        self.turns_begun > 0 && !self.finished()
-    }
-
-    /// Assembles this tenant's [`ConversationReport`], mirroring
-    /// [`crate::Conversation::report`].
-    fn conversation_report(&self) -> ConversationReport {
-        let mut latency = LatencyStats::new();
-        for d in &self.frame_latencies {
-            latency.record(*d);
-        }
-        let mean_goodput_bps = if self.reports.is_empty() {
-            0.0
-        } else {
-            self.reports.iter().map(|t| t.goodput_bps).sum::<f64>() / self.reports.len() as f64
-        };
-        let mut resilience = FaultTelemetry::default();
-        for t in &self.reports {
-            resilience.absorb(&t.resilience);
-        }
-        ConversationReport {
-            turns: self.reports.clone(),
-            estimate_at_turn_start_bps: self.estimate_at_turn_start_bps.clone(),
-            carryover_queue_delay_ms: self.carryover_queue_delay_ms.clone(),
-            turn_target_swing_bps: self.turn_target_swing_bps.clone(),
-            p50_frame_latency_ms: latency.percentile_ms(0.5),
-            p95_frame_latency_ms: latency.p95_ms(),
-            mean_goodput_bps,
-            nacks_suppressed: self.transport.nacks_suppressed(),
-            resilience,
-        }
+        (self.plan.is_some() || self.conversation.turn_count() > 0) && !self.finished()
     }
 }
 
@@ -376,7 +300,7 @@ impl Actor for ContentionMachine {
         match event {
             MtEvent::TurnBegin { tenant } => self.on_turn_begin(tenant, now, sim),
             MtEvent::TurnEnd { tenant } => self.on_turn_end(tenant, sim),
-            MtEvent::Net { tenant, ev } => self.on_net(tenant, now, ev, sim),
+            MtEvent::Net(event) => self.on_net(now, event, sim),
             MtEvent::Cross { source } => self.on_cross(source, now, sim),
             MtEvent::FairnessTick => self.on_fairness_tick(now, sim),
         }
@@ -394,32 +318,33 @@ impl ContentionMachine {
             .count()
             .max(1);
         let t = &mut self.tenants[tenant];
-        let idx = t.turns_begun;
+        let idx = t.conversation.turn_count();
         debug_assert!(idx < t.spec.turns.len(), "turn begin past the script");
         if idx == 0 && self.admission.enabled {
-            t.gcc
+            t.conversation
+                .gcc
                 .clamp_estimate(self.nominal_bps * self.admission.fair_share_cap / active as f64);
         }
-        t.estimate_at_turn_start_bps.push(t.gcc.estimate_bps());
-        t.carryover_queue_delay_ms
-            .push(self.shared.backlog(now).as_millis_f64());
-        let frame_count = t.spec.turns[idx].frames.len();
-        let plan = begin_turn_window(
-            &mut t.compute,
-            &mut t.transport,
+        let turn = &t.spec.turns[idx];
+        let plan = t.conversation.begin_turn_on(
             now,
-            &mut TenantSink { tenant, sim },
-            frame_count,
-            &t.spec.turns[idx].question,
+            &UplinkPort::Shared {
+                link: &mut self.shared,
+                flow: tenant,
+            },
+            &mut MemberSink {
+                member: tenant as u32,
+                sim: &mut *sim,
+            },
+            turn.frames.len(),
+            &turn.question,
         );
-        let interval_us = (1e6 / t.compute.options.capture_fps).round() as u64;
-        let last_capture = SimTime::from_micros(now.as_micros() + (frame_count as u64 - 1) * interval_us);
-        t.capture_span = Some((now, last_capture));
+        t.capture_span = Some((now, plan.last_capture));
         t.plan = Some(plan);
-        t.turns_begun += 1;
         // One microsecond past the deadline: every event at the deadline itself (which a
-        // single-tenant `run_until(horizon)` drains inclusively) pops first, by time; the
-        // integer-microsecond clock leaves nothing in between.
+        // lockstep `run_until(horizon)` drains inclusively) pops first, by time; the
+        // integer-microsecond clock leaves nothing in between. See the module docs for the
+        // one tie this leaves open.
         sim.schedule_at(
             plan.horizon + SimDuration::from_micros(1),
             MtEvent::TurnEnd { tenant },
@@ -427,57 +352,47 @@ impl ContentionMachine {
     }
 
     fn on_turn_end(&mut self, tenant: usize, sim: &mut Simulation<MtEvent>) {
-        let shared = &mut self.shared;
         let t = &mut self.tenants[tenant];
-        let plan = t.plan.expect("turn end without a live turn");
-        let idx = t.turns_begun - 1;
-        let turn = &t.spec.turns[idx];
-        let report = conclude_turn_window(
-            &mut t.compute,
-            &mut t.gcc,
-            &mut t.transport,
+        let plan = t.plan.take().expect("turn end without a live turn");
+        let turn = &t.spec.turns[t.conversation.turn_count()];
+        t.conversation.conclude_turn_on(
             &UplinkPort::Shared {
-                link: shared,
+                link: &mut self.shared,
                 flow: tenant,
             },
             &plan,
             turn.frames.len(),
             &turn.question,
         );
-        t.turn_target_swing_bps.push(t.transport.turn_target_swing_bps());
-        t.frame_latencies
-            .extend_from_slice(&t.transport.turn_frame_latencies);
-        finish_turn(&mut t.transport);
-        t.reports.push(report);
         t.capture_span = None;
-        if t.turns_begun < t.spec.turns.len() {
-            sim.schedule_at(plan.horizon + t.spec.think, MtEvent::TurnBegin { tenant });
+        if !t.finished() {
+            sim.schedule_at(
+                plan.horizon + t.conversation.think_gap(),
+                MtEvent::TurnBegin { tenant },
+            );
         }
     }
 
-    fn on_net(&mut self, tenant: usize, now: SimTime, ev: NetEvent, sim: &mut Simulation<MtEvent>) {
-        let shared = &mut self.shared;
+    fn on_net(&mut self, now: SimTime, event: MemberEvent, sim: &mut Simulation<MtEvent>) {
+        let tenant = event.member as usize;
         let t = &mut self.tenants[tenant];
-        let Some(plan) = t.plan else {
-            debug_assert!(false, "net event before the tenant's first turn");
-            return;
-        };
-        // Between windows the frame slice is only nominally live: capture events exist
-        // strictly inside a window, and nothing else reads frames.
-        let idx = t.turns_begun.saturating_sub(1);
-        let frames: &[Frame] = &t.spec.turns[idx].frames;
-        let mut machine = TurnMachine {
-            compute: &mut t.compute,
-            gcc: &mut t.gcc,
-            t: &mut t.transport,
-            frames,
-            window: plan.window,
-            port: UplinkPort::Shared {
-                link: shared,
+        let live = t.plan.map(|plan| {
+            let frames: &[Frame] = &t.spec.turns[t.conversation.turn_count()].frames;
+            (frames, plan.window)
+        });
+        t.conversation.handle_net(
+            now,
+            event.event,
+            live,
+            UplinkPort::Shared {
+                link: &mut self.shared,
                 flow: tenant,
             },
-        };
-        machine.handle(now, ev, &mut TenantSink { tenant, sim });
+            &mut MemberSink {
+                member: event.member,
+                sim,
+            },
+        );
     }
 
     fn on_cross(&mut self, source: usize, now: SimTime, sim: &mut Simulation<MtEvent>) {
@@ -541,7 +456,7 @@ impl ContentionMachine {
                     // Escalate the tenant's own degradation ladder: force_fallback makes
                     // `in_fallback()` true, so its next capture rides the SoftFallback
                     // rung and its sending rate steps down toward survivability.
-                    t.gcc.force_fallback();
+                    t.conversation.gcc.force_fallback();
                 }
             }
         }
@@ -565,13 +480,24 @@ impl ContentionMachine {
 
 /// Runs a full contention experiment: K tenant conversations plus cross-traffic on one
 /// shared bottleneck, from time zero to the last tenant's final answer deadline.
+///
+/// # Panics
+///
+/// Panics if `tenants` is empty, or if a scripted turn has no frames ("a chat turn needs
+/// at least one frame", the check every driver shares).
 pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> ContentionReport {
     assert!(!tenants.is_empty(), "a contention run needs at least one tenant");
+    // The global horizon: every tenant's final answer deadline, plus the 1 µs TurnEnd
+    // offset. Planning every scripted turn here also rejects an empty one before the run.
+    let mut global_end = SimTime::ZERO;
     for t in &tenants {
-        assert!(
-            t.turns.iter().all(|turn| !turn.frames.is_empty()),
-            "every scripted turn needs at least one frame"
-        );
+        let mut begin = t.join_at;
+        let mut horizon = begin;
+        for turn in &t.turns {
+            horizon = TurnPlan::new(&t.options, 0, begin, turn.frames.len()).horizon;
+            begin = horizon + t.think;
+        }
+        global_end = global_end.max(horizon + SimDuration::from_micros(1));
     }
     let tenant_count = tenants.len();
     let flow_count = tenant_count + config.cross_traffic.len();
@@ -589,46 +515,21 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
     let model = ClipModel::mobile_default();
     let states: Vec<TenantState> = tenants
         .into_iter()
-        .map(|spec| {
-            let gcc = GccController::new(spec.options.gcc);
-            let transport = Transport::new(&spec.options, gcc.estimate_bps());
-            let compute = NetCompute::new(spec.options.clone(), StreamerConfig::default(), model.clone());
-            TenantState {
-                spec,
-                compute,
-                gcc,
-                transport,
-                turns_begun: 0,
-                plan: None,
-                capture_span: None,
-                reports: Vec::new(),
-                estimate_at_turn_start_bps: Vec::new(),
-                carryover_queue_delay_ms: Vec::new(),
-                turn_target_swing_bps: Vec::new(),
-                frame_latencies: Vec::new(),
-                starve_streak: 0,
-                starvation_events: 0,
-                window_bytes_snapshot: 0,
-            }
+        .map(|spec| TenantState {
+            conversation: Conversation::new(
+                spec.options.clone(),
+                StreamerConfig::default(),
+                model.clone(),
+                spec.think,
+            ),
+            spec,
+            plan: None,
+            capture_span: None,
+            starve_streak: 0,
+            starvation_events: 0,
+            window_bytes_snapshot: 0,
         })
         .collect();
-
-    // The global horizon: every tenant's final answer deadline (replicating the window
-    // arithmetic of `begin_turn_window` exactly), plus the 1 µs TurnEnd offset.
-    let mut global_end = SimTime::ZERO;
-    for t in &states {
-        let o = &t.compute.options;
-        let interval_us = (1e6 / o.capture_fps).round() as u64;
-        let drain_us = (o.drain_secs.max(0.0) * 1e6).round() as u64;
-        let mut begin = t.spec.join_at.as_micros();
-        let mut horizon = begin;
-        for turn in &t.spec.turns {
-            let last_capture = begin + (turn.frames.len() as u64 - 1) * interval_us;
-            horizon = last_capture + drain_us;
-            begin = horizon + t.spec.think.as_micros();
-        }
-        global_end = global_end.max(SimTime::from_micros(horizon + 1));
-    }
 
     let cross: Vec<CrossState> = config
         .cross_traffic
@@ -699,7 +600,7 @@ pub fn run_contention(config: &ContentionConfig, tenants: Vec<TenantSpec>) -> Co
                 tenant_bytes[i] as f64 / total_tenant_bytes as f64
             },
             starvation_events: t.starvation_events,
-            conversation: t.conversation_report(),
+            conversation: t.conversation.report(),
         })
         .collect();
     ContentionReport {
@@ -720,7 +621,7 @@ mod tests {
     use super::*;
     use crate::conversation::Conversation;
     use aivc_mllm::QuestionFormat;
-    use aivc_netsim::{LossModel, PathConfig};
+    use aivc_netsim::{FaultSchedule, LossModel, PathConfig};
     use aivc_scene::templates::basketball_game;
     use aivc_scene::{SourceConfig, VideoSource};
 
@@ -776,37 +677,76 @@ mod tests {
         // K = 1 with the shared link seeded exactly like the tenant's private uplink:
         // the engine must reproduce `Conversation` — same interleaving, same RNG draws,
         // same report — which pins that multi-tenancy changed nothing single-tenant.
-        let uplink = LinkConfig::constant(
+        let seed = 42;
+        let fps = 8.0;
+        let think = SimDuration::from_millis(400);
+        let iid = LinkConfig::constant(
             4e6,
             SimDuration::from_millis(30),
             300,
             LossModel::Iid { rate: 0.01 },
         );
-        let seed = 42;
-        let fps = 8.0;
-        let think = SimDuration::from_millis(400);
-        let options = tenant_options(seed, &uplink, fps);
-        let script = turn_script(0, 3, 4, fps);
-
-        let mut conv = Conversation::with_defaults(options.clone(), think);
-        for turn in &script {
-            conv.run_turn(&turn.frames, &turn.question);
-        }
-        let expected = conv.report();
-
-        let config = base_config(uplink, seed, 4e6);
-        let report = run_contention(
-            &config,
-            vec![TenantSpec {
-                label: "solo".into(),
-                mode: "ai_oriented".into(),
-                join_at: SimTime::ZERO,
-                think,
-                options,
-                turns: script,
-            }],
+        // Traditional ABR with the whole resilience stack and deadline-aware NACK, on a
+        // bursty 3 Mbps uplink blacked out across turn 1, from a 6 Mbps cold estimate:
+        // NACK/RTX, FEC recovery, the degradation ladder and outage recovery all run.
+        let mut bursty = LinkConfig::constant(
+            3e6,
+            SimDuration::from_millis(40),
+            300,
+            LossModel::GilbertElliott {
+                p_good_to_bad: 0.05,
+                p_bad_to_good: 0.3,
+                loss_good: 0.02,
+                loss_bad: 0.5,
+            },
         );
-        assert_eq!(report.tenants[0].conversation, expected);
+        bursty.faults = FaultSchedule::blackout(SimTime::from_millis(1100), SimDuration::from_millis(500));
+        let mut resilient = NetSessionOptions::traditional(
+            seed,
+            PathConfig {
+                uplink: bursty.clone(),
+                downlink: clean_downlink(),
+            },
+        )
+        .with_resilience();
+        resilient.deadline_aware_nack = true;
+        resilient.capture_fps = fps;
+        resilient.gcc.initial_estimate_bps = 6e6;
+
+        for (uplink, options, lossy) in [
+            (iid.clone(), tenant_options(seed, &iid, fps), false),
+            (bursty, resilient, true),
+        ] {
+            let script = turn_script(0, 3, 4, fps);
+            let mut conv = Conversation::with_defaults(options.clone(), think);
+            for turn in &script {
+                conv.run_turn(&turn.frames, &turn.question);
+            }
+            let expected = conv.report();
+
+            let config = base_config(uplink, seed, 4e6);
+            let report = run_contention(
+                &config,
+                vec![TenantSpec {
+                    label: "solo".into(),
+                    mode: "ai_oriented".into(),
+                    join_at: SimTime::ZERO,
+                    think,
+                    options,
+                    turns: script,
+                }],
+            );
+            assert_eq!(report.tenants[0].conversation, expected, "lossy {lossy}");
+            if lossy {
+                let turns = &expected.turns;
+                assert!(turns.iter().map(|t| t.retransmissions_sent).sum::<u64>() > 0);
+                assert!(turns.iter().map(|t| t.fec_recovered_frames).sum::<u64>() > 0);
+                assert!(expected.nacks_suppressed > 0);
+                let r = expected.resilience;
+                assert!(r.frames_shed > 0 && r.captures_suppressed > 0, "{r:?}");
+                assert!(r.outage_drops > 0 && r.time_to_recover_ms.is_some(), "{r:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,17 +1,32 @@
-//! Continuous multi-turn conversations: [`Conversation`].
+//! Continuous multi-turn conversations: [`Conversation`], the one member type every
+//! turn driver runs.
 //!
 //! The paper's §2.2 loop is conversational — an MLLM chat is a *sequence* of turns over
-//! one long-lived connection. [`crate::NetworkedChatSession`] restarts its transport clock
-//! at `t = 0` every turn, which throws away exactly the state a real conversation carries:
-//! GCC warm-up, pacer backlog, in-flight packets, NACK history and the bandwidth trace's
-//! position. A [`Conversation`] keeps **one timeline**: the `aivc-sim` kernel's clock and
-//! event queue, the emulated link (and therefore the trace cursor and bottleneck queue),
-//! the congestion controller, pacer, packetizer sequence space, RTX store and FEC/NACK
-//! machinery all persist across turns. Turn `k + 1` starts at the simulated time turn `k`'s
-//! answer deadline passed, plus the user's think time, during which in-flight packets keep
-//! arriving and pending retransmissions keep flowing.
+//! one long-lived connection. A [`Conversation`] keeps **one timeline**: the `aivc-sim`
+//! kernel's clock and event queue, the emulated link (and therefore the trace cursor and
+//! bottleneck queue), the congestion controller, pacer, packetizer sequence space, RTX
+//! store and FEC/NACK machinery all persist across turns. Turn `k + 1` starts at the
+//! simulated time turn `k`'s answer deadline passed, plus the user's think time, during
+//! which in-flight packets keep arriving and pending retransmissions keep flowing.
 //!
-//! What this buys, measurably (the [`ConversationReport`] cross-turn aggregates):
+//! **One host.** A conversation holds the compute half, the congestion controller, the
+//! transport and the turn history; every driver runs it through the same three calls
+//! (`begin_turn_on`, `handle_net`, `conclude_turn_on`), naming the uplink its packets
+//! ride. The lockstep drain ([`Lockstep`]: think-drain → open every member's window →
+//! drain to the common horizon → conclude) runs member-tagged events on one kernel, and
+//! it is the only loop the non-contention drivers use:
+//!
+//! * a standalone [`Conversation`] is a one-member instance of it on its own timeline;
+//! * a lane shard of [`crate::ConversationChatServer`] is a many-member instance;
+//! * [`crate::NetworkedChatSession`] runs it on a fresh timeline and a fresh transport
+//!   every turn.
+//!
+//! The contention engine ([`crate::contention`]) keeps its own event-driven turn
+//! schedule, because its tenants really do turn at different times; each tenant is a
+//! [`Conversation`] on a shared uplink.
+//!
+//! What the persistent timeline buys, measurably (the [`ConversationReport`] cross-turn
+//! aggregates):
 //!
 //! * **warm vs cold GCC convergence** — turn 0 starts from the configured initial estimate
 //!   and swings its ABR target while the controller converges; later turns start from the
@@ -23,22 +38,22 @@
 //!   the number a service-level objective would actually track.
 //!
 //! Memory stays bounded by the live turn: once a turn is reported, its reassembly, FEC and
-//! sequence-mapping state is retired (`net_turn::finish_turn`), so a conversation can run
-//! indefinitely — the steady-state benchmark (`conversation_turn_warm`) runs thousands of
-//! turns on one instance.
+//! sequence-mapping state is retired, so a conversation can run indefinitely — the
+//! steady-state benchmark (`conversation_turn_warm`) runs thousands of turns on one
+//! instance.
 
 use crate::context_aware::StreamerConfig;
 use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport};
 use crate::net_turn::{
-    begin_turn_window, conclude_turn_window, drain_gap, finish_turn, run_turn_window, NetCompute, NetEvent,
-    NetEventSink, Transport, TurnMachine, TurnPlan, TurnWindow, UplinkPort,
+    begin_turn_window, conclude_turn_window, MemberEvent, MemberSink, NetCompute, NetEvent, NetEventSink,
+    Transport, TurnMachine, TurnPlan, TurnWindow, UplinkPort,
 };
 use aivc_mllm::Question;
 use aivc_netsim::{LatencyStats, LinkCounters};
 use aivc_rtc::cc::GccController;
 use aivc_scene::Frame;
 use aivc_semantics::ClipModel;
-use aivc_sim::{SimDuration, SimTime, Simulation};
+use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
 use serde::{Deserialize, Serialize, Value};
 
 /// The report of a whole conversation: every turn's [`NetTurnReport`] plus the cross-turn
@@ -161,9 +176,11 @@ impl ConversationReport {
 #[derive(Debug)]
 pub struct Conversation {
     compute: NetCompute,
-    gcc: GccController,
+    pub(crate) gcc: GccController,
     transport: Transport,
-    sim: Simulation<NetEvent>,
+    /// The conversation's own timeline. A conversation run by a server shard or a
+    /// contention cell rides that driver's timeline instead; its own stays idle at zero.
+    timeline: Lockstep,
     think_gap: SimDuration,
     turns: Vec<NetTurnReport>,
     estimate_at_turn_start_bps: Vec<f64>,
@@ -188,7 +205,7 @@ impl Conversation {
             compute: NetCompute::new(options, config, clip_model),
             gcc,
             transport,
-            sim: Simulation::new(),
+            timeline: Lockstep::default(),
             think_gap,
             turns: Vec::new(),
             estimate_at_turn_start_bps: Vec::new(),
@@ -216,7 +233,7 @@ impl Conversation {
 
     /// The current simulated time — the conversation's single monotonic clock.
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.timeline.sim.now()
     }
 
     /// The congestion controller's current bandwidth estimate in bits per second.
@@ -270,19 +287,17 @@ impl Conversation {
     /// NACK polls fire, retransmissions flow. [`Conversation::run_turn`] already inserts
     /// the configured think gap between turns; use this for extra idle time.
     pub fn think(&mut self, gap: SimDuration) {
-        drain_gap(
-            &mut self.compute,
-            &mut self.gcc,
-            &mut self.transport,
-            &mut self.sim,
-            gap,
-        );
+        self.on_own_timeline(|timeline, me| timeline.think(me, gap));
     }
 
     /// Runs the next turn of the conversation, starting at the current simulated time
     /// (plus the configured think gap, for every turn after the first). The transport —
     /// link, trace cursor, queue backlog, GCC, pacer, sequence space, recovery machinery —
     /// is exactly as the previous turn left it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frames` is empty ("a chat turn needs at least one frame").
     pub fn run_turn(&mut self, frames: &[Frame], question: &Question) -> NetTurnReport {
         self.run_turn_in_place(frames, question).clone()
     }
@@ -292,27 +307,35 @@ impl Conversation {
     /// [`Conversation::reserve_turns`], a warmed conversation's turn is allocation-free
     /// end to end (the `zero_alloc` harness asserts exactly that).
     pub fn run_turn_in_place(&mut self, frames: &[Frame], question: &Question) -> &NetTurnReport {
-        if !self.turns.is_empty() && self.think_gap > SimDuration::ZERO {
-            self.think(self.think_gap);
-        }
-        self.estimate_at_turn_start_bps.push(self.gcc.estimate_bps());
-        self.carryover_queue_delay_ms
-            .push(self.transport.uplink_backlog_ms(self.sim.now()));
-        let report = run_turn_window(
-            &mut self.compute,
-            &mut self.gcc,
-            &mut self.transport,
-            &mut self.sim,
-            frames,
-            question,
+        self.on_own_timeline(|timeline, me| timeline.run_turn(me, frames, question));
+        self.turns.last().expect("the turn just concluded")
+    }
+
+    /// Runs `f` on this conversation's own timeline as its single member. The timeline is
+    /// moved out for the call (an empty [`Lockstep`] allocates nothing) so the drain can
+    /// borrow the conversation mutably alongside it.
+    fn on_own_timeline(&mut self, f: impl FnOnce(&mut Lockstep, &mut [Conversation])) {
+        let mut timeline = std::mem::take(&mut self.timeline);
+        f(&mut timeline, std::slice::from_mut(self));
+        self.timeline = timeline;
+    }
+
+    /// Restarts the transport and the timeline and clears the turn history, keeping the
+    /// compute state, the congestion controller and the always-on counters: the next turn
+    /// runs exactly like a first turn on a fresh connection (the single-turn contract of
+    /// [`crate::NetworkedChatSession`]).
+    pub(crate) fn restart_transport(&mut self) {
+        self.transport = Transport::with_metrics(
+            &self.compute.options,
+            self.gcc.estimate_bps(),
+            self.transport.metrics_handle(),
         );
-        self.turn_target_swing_bps
-            .push(self.transport.turn_target_swing_bps());
-        self.frame_latencies
-            .extend_from_slice(&self.transport.turn_frame_latencies);
-        finish_turn(&mut self.transport);
-        self.turns.push(report);
-        self.turns.last().expect("just pushed")
+        self.timeline = Lockstep::default();
+        self.turns.clear();
+        self.estimate_at_turn_start_bps.clear();
+        self.carryover_queue_delay_ms.clear();
+        self.turn_target_swing_bps.clear();
+        self.frame_latencies.clear();
     }
 
     /// Pre-grows the per-turn history vectors for `additional_turns` more turns of
@@ -331,39 +354,61 @@ impl Conversation {
         self.think_gap
     }
 
-    /// Opens this conversation's next turn window on an *external* timeline at `now` —
-    /// the lane-sharded server's per-lane kernel — doing exactly the pre-window
-    /// bookkeeping [`Conversation::run_turn_in_place`] does on the private one: push the
-    /// turn-start estimate and the inherited backlog, then schedule the captures into
-    /// `sink`. The caller drains the timeline to the returned plan's horizon (routing
-    /// this session's events to [`Conversation::handle_net`]) and then calls
-    /// [`Conversation::conclude_turn_on`].
+    /// Opens this conversation's next turn window at `now` on whichever timeline `sink`
+    /// feeds: records the turn-start estimate and the backlog the turn inherits on `port`,
+    /// then schedules the captures. The caller drains the timeline to the returned plan's
+    /// horizon (routing this member's events to [`Conversation::handle_net`]) and then
+    /// calls [`Conversation::conclude_turn_on`] with the same port.
     pub(crate) fn begin_turn_on(
         &mut self,
         now: SimTime,
+        port: &UplinkPort<'_>,
         sink: &mut impl NetEventSink,
         frame_count: usize,
         question: &Question,
     ) -> TurnPlan {
-        self.estimate_at_turn_start_bps.push(self.gcc.estimate_bps());
-        self.carryover_queue_delay_ms
-            .push(self.transport.uplink_backlog_ms(now));
-        begin_turn_window(
+        let estimate_bps = self.gcc.estimate_bps();
+        let backlog_ms = self.transport.uplink_backlog_ms(port, now);
+        let plan = begin_turn_window(
             &mut self.compute,
             &mut self.transport,
             now,
             sink,
             frame_count,
             question,
-        )
+        );
+        self.estimate_at_turn_start_bps.push(estimate_bps);
+        self.carryover_queue_delay_ms.push(backlog_ms);
+        plan
     }
 
-    /// Concludes a turn opened by [`Conversation::begin_turn_on`] after the external
-    /// timeline drained to the plan's horizon: decode + answer + report, then the same
-    /// post-window bookkeeping as [`Conversation::run_turn_in_place`] (swing, latencies,
-    /// retirement, history push). Returns the stored report.
+    /// Handles one of this conversation's transport events. `live` carries the frames and
+    /// window of the open turn; `None` is think time (deliveries, polls, retransmissions
+    /// only — no captures pending).
+    pub(crate) fn handle_net(
+        &mut self,
+        now: SimTime,
+        event: NetEvent,
+        live: Option<(&[Frame], TurnWindow)>,
+        port: UplinkPort<'_>,
+        sink: &mut impl NetEventSink,
+    ) {
+        let mut machine = TurnMachine {
+            compute: &mut self.compute,
+            gcc: &mut self.gcc,
+            t: &mut self.transport,
+            live,
+            port,
+        };
+        machine.handle(now, event, sink);
+    }
+
+    /// Concludes a turn opened by [`Conversation::begin_turn_on`] once its timeline has
+    /// drained to the plan's horizon: decode + answer + report, then the history
+    /// bookkeeping (swing, frame latencies, report). Returns the stored report.
     pub(crate) fn conclude_turn_on(
         &mut self,
+        port: &UplinkPort<'_>,
         plan: &TurnPlan,
         frame_count: usize,
         question: &Question,
@@ -372,7 +417,7 @@ impl Conversation {
             &mut self.compute,
             &mut self.gcc,
             &mut self.transport,
-            &UplinkPort::Private,
+            port,
             plan,
             frame_count,
             question,
@@ -381,35 +426,8 @@ impl Conversation {
             .push(self.transport.turn_target_swing_bps());
         self.frame_latencies
             .extend_from_slice(&self.transport.turn_frame_latencies);
-        finish_turn(&mut self.transport);
         self.turns.push(report);
         self.turns.last().expect("just pushed")
-    }
-
-    /// Handles one of this conversation's transport events on an external timeline — the
-    /// per-event [`TurnMachine`] construction the multi-tenant contention engine also
-    /// uses. `live` carries the frames and window of the open turn; `None` is a
-    /// think-time drain (deliveries, polls, retransmissions only — no captures pending).
-    pub(crate) fn handle_net(
-        &mut self,
-        now: SimTime,
-        event: NetEvent,
-        live: Option<(&[Frame], TurnWindow)>,
-        sink: &mut impl NetEventSink,
-    ) {
-        let (frames, window) = match live {
-            Some((frames, window)) => (frames, window),
-            None => (&[][..], TurnWindow::drain_at(self.transport.frames_sent(), now)),
-        };
-        let mut machine = TurnMachine {
-            compute: &mut self.compute,
-            gcc: &mut self.gcc,
-            t: &mut self.transport,
-            frames,
-            window,
-            port: UplinkPort::Private,
-        };
-        machine.handle(now, event, sink);
     }
 
     /// Assembles the conversation-level report (per-turn reports + cross-turn aggregates).
@@ -435,6 +453,112 @@ impl Conversation {
             nacks_suppressed: self.transport.nacks_suppressed(),
             resilience,
         }
+    }
+}
+
+/// The lockstep drain: one `aivc-sim` kernel shared by conversations that turn together,
+/// each on its private uplink. Members' events are tagged ([`MemberEvent`]) and never
+/// interact, so sharing the kernel changes *which heap* an event pops from, never what a
+/// member computes: restricted to one member, the `(time, insertion-seq)` pop order is
+/// exactly the order that member would see alone. The members must share their turn
+/// geometry (think gap, capture fps, drain window) so their phase boundaries coincide —
+/// [`crate::ConversationChatServer`] checks this at admission.
+#[derive(Debug, Default)]
+pub(crate) struct Lockstep {
+    sim: Simulation<MemberEvent>,
+    /// The open turn's plan of every member (reused across turns).
+    plans: Vec<TurnPlan>,
+}
+
+impl Lockstep {
+    /// Pre-grows the plan buffer for `members` members.
+    pub(crate) fn reserve_members(&mut self, members: usize) {
+        self.plans.reserve(members);
+    }
+
+    /// Drains `gap` of think time: in-flight packets arrive, polls fire, retransmissions
+    /// flow — no captures pending.
+    pub(crate) fn think(&mut self, members: &mut [Conversation], gap: SimDuration) {
+        let horizon = self.sim.now() + gap;
+        self.sim.run_until(
+            horizon,
+            &mut Drain {
+                members,
+                plans: &[],
+                frames: &[],
+            },
+        );
+    }
+
+    /// Advances every member by one turn: the think gap (after a member's first turn),
+    /// open every window at the common start time, drain to the common horizon, conclude
+    /// in member order.
+    pub(crate) fn run_turn(&mut self, members: &mut [Conversation], frames: &[Frame], question: &Question) {
+        let Some(first) = members.first() else {
+            return;
+        };
+        let think = first.think_gap;
+        if first.turn_count() > 0 && think > SimDuration::ZERO {
+            self.think(members, think);
+        }
+        let now = self.sim.now();
+        self.plans.clear();
+        for (m, member) in members.iter_mut().enumerate() {
+            let plan = member.begin_turn_on(
+                now,
+                &UplinkPort::Private,
+                &mut MemberSink {
+                    member: m as u32,
+                    sim: &mut self.sim,
+                },
+                frames.len(),
+                question,
+            );
+            self.plans.push(plan);
+        }
+        let horizon = self.plans[0].horizon;
+        debug_assert!(
+            self.plans.iter().all(|p| p.horizon == horizon),
+            "lockstep members must share the turn horizon"
+        );
+        self.sim.run_until(
+            horizon,
+            &mut Drain {
+                members: &mut *members,
+                plans: &self.plans,
+                frames,
+            },
+        );
+        for (member, plan) in members.iter_mut().zip(&self.plans) {
+            member.conclude_turn_on(&UplinkPort::Private, plan, frames.len(), question);
+        }
+    }
+}
+
+/// Routes each tagged event to its member. During a turn every member has a plan (its
+/// live window); during a think drain `plans` is empty.
+struct Drain<'a> {
+    members: &'a mut [Conversation],
+    plans: &'a [TurnPlan],
+    frames: &'a [Frame],
+}
+
+impl Actor for Drain<'_> {
+    type Event = MemberEvent;
+
+    fn on_event(&mut self, now: SimTime, event: MemberEvent, sim: &mut Simulation<MemberEvent>) {
+        let m = event.member as usize;
+        let live = self.plans.get(m).map(|plan| (self.frames, plan.window));
+        self.members[m].handle_net(
+            now,
+            event.event,
+            live,
+            UplinkPort::Private,
+            &mut MemberSink {
+                member: event.member,
+                sim,
+            },
+        );
     }
 }
 
@@ -597,9 +721,9 @@ mod tests {
 
     /// Regression test for the retired-then-late sequence hazard: on a slow, high-latency
     /// link, packets still in flight when the answer deadline fires arrive during the
-    /// think gap — *after* `finish_turn` retired their sequence numbers. The ring/bitset
-    /// stores must reject them as counted drops (`late_seq_drops`), not underflow
-    /// `seq - base` and panic.
+    /// think gap — *after* the turn's conclusion retired their sequence numbers. The
+    /// ring/bitset stores must reject them as counted drops (`late_seq_drops`), not
+    /// underflow `seq - base` and panic.
     #[test]
     fn retired_then_late_arrivals_are_counted_drops_across_turns() {
         use aivc_netsim::{LinkConfig, LossModel, PathConfig};

@@ -14,10 +14,13 @@
 //!   uplink → decode → MLLM answer, with per-stage latency accounting;
 //! * [`net_session`] — the network-in-the-loop turn: per-frame GCC feedback → ABR target →
 //!   encode-at-bitrate → FEC/NACK recovery → decode, on a trace-driven emulated uplink
-//!   (single-turn driver of the shared `net_turn` engine over the `aivc-sim` kernel);
+//!   (a conversation whose transport and timeline restart every turn);
 //! * [`conversation`] — continuous multi-turn conversations: one persistent transport
 //!   timeline (clock, link, trace cursor, GCC, pacer, in-flight packets) across every
-//!   turn, with think-time gaps and cross-turn aggregates ([`ConversationReport`]);
+//!   turn, with think-time gaps and cross-turn aggregates ([`ConversationReport`]).
+//!   [`Conversation`] is the one member type every turn driver runs, and its lockstep
+//!   drain is the one loop behind a standalone conversation, a fleet's lane shard and a
+//!   single-turn session;
 //! * [`contention`] — shared-bottleneck multi-tenant contention: K conversations plus
 //!   cross-traffic contending for one [`aivc_netsim::SharedLink`] on one simulation
 //!   timeline, with windowed Jain fairness, a per-tenant starvation watchdog, fair-share

@@ -16,28 +16,29 @@
 //! functions of the network — which is exactly the regime in which the paper argues for
 //! `AiOriented` over `Traditional` ABR.
 //!
-//! Since the simulation-kernel refactor the event loop itself lives in the shared turn
-//! engine (`net_turn`, an [`aivc_sim::Actor`] over the `aivc-sim` kernel) and this type is
-//! the *single-turn* driver of it: every [`NetworkedChatSession::run_turn`] starts a fresh
-//! transport timeline at `t = 0` with an empty bottleneck queue — identical options and
-//! seeds reproduce bit-identical [`NetTurnReport`]s, which the scenario engine
-//! ([`crate::scenarios`]) relies on for its golden regression fixtures. The
-//! [`GccController`] still persists across turns (a conversation keeps its bandwidth
-//! knowledge). For the *continuous* timeline — one link, trace cursor, pacer backlog and
-//! in-flight packet set shared by every turn — see [`crate::Conversation`].
+//! The event loop itself lives in the shared turn engine (`net_turn`), run by the one
+//! conversation host ([`crate::Conversation`] and its lockstep drain). This type is the
+//! *single-turn* driver: a conversation whose every [`NetworkedChatSession::run_turn`]
+//! starts on a fresh transport timeline at `t = 0` with an empty bottleneck queue —
+//! identical options and seeds reproduce bit-identical [`NetTurnReport`]s, which the
+//! scenario engine ([`crate::scenarios`]) relies on for its golden regression fixtures.
+//! The congestion controller ([`aivc_rtc::cc::GccController`]) still persists across
+//! turns (a conversation keeps its bandwidth knowledge). For the *continuous* timeline —
+//! one link, trace cursor, pacer backlog and in-flight packet set shared by every turn —
+//! use [`crate::Conversation`] directly.
 
 use crate::context_aware::StreamerConfig;
-use crate::net_turn::{run_turn_window, NetCompute, Transport};
+use crate::conversation::Conversation;
 use crate::session::StreamingMode;
 use aivc_mllm::{Answer, Question};
 use aivc_netsim::PathConfig;
-use aivc_rtc::cc::{GccConfig, GccController};
+use aivc_rtc::cc::GccConfig;
 use aivc_rtc::fec::{AdaptiveFecConfig, FecConfig};
 use aivc_rtc::nack::NackConfig;
 use aivc_rtc::AbrPolicy;
 use aivc_scene::Frame;
 use aivc_semantics::ClipModel;
-use aivc_sim::{SimDuration, Simulation};
+use aivc_sim::SimDuration;
 use serde::{Deserialize, Serialize, Value};
 
 /// Options of one networked chat session.
@@ -369,33 +370,30 @@ impl NetTurnReport {
 /// The compute stages (CLIP → Eq. 2 → ROI encode → decode → MLLM) are the same ones
 /// [`crate::ChatSession`] runs, with the same scratch-reuse structure; what changes is that
 /// each frame's **bitrate target comes from the congestion controller** and each frame's
-/// **decodable bytes come from the emulated link**. The [`GccController`] persists across
-/// turns (a conversation keeps its bandwidth knowledge); transport time restarts at zero
-/// each turn with an empty bottleneck queue — use [`crate::Conversation`] when the
-/// transport itself should persist.
-#[derive(Debug, Clone)]
+/// **decodable bytes come from the emulated link**. The congestion controller
+/// ([`aivc_rtc::cc::GccController`]) persists across turns (a conversation keeps its
+/// bandwidth knowledge); transport time restarts at zero each turn with an empty
+/// bottleneck queue — use [`crate::Conversation`] when the transport itself should
+/// persist.
+#[derive(Debug)]
 pub struct NetworkedChatSession {
-    compute: NetCompute,
-    gcc: GccController,
-    /// Always-on serving counters. Session-owned (not transport-owned) because this
-    /// session rebuilds its transport every turn — the handle persists so counters
-    /// accumulate across the session's whole lifetime.
-    metrics: std::sync::Arc<aivc_metrics::SessionCounters>,
+    /// The conversation whose transport, timeline and history restart every turn. Its
+    /// always-on counters survive the restarts, so they accumulate across the session's
+    /// whole lifetime.
+    conversation: Conversation,
 }
 
 impl NetworkedChatSession {
     /// Creates a session with explicit compute configuration.
     pub fn new(options: NetSessionOptions, config: StreamerConfig, clip_model: ClipModel) -> Self {
         Self {
-            gcc: GccController::new(options.gcc),
-            compute: NetCompute::new(options, config, clip_model),
-            metrics: std::sync::Arc::new(aivc_metrics::SessionCounters::new()),
+            conversation: Conversation::new(options, config, clip_model, SimDuration::ZERO),
         }
     }
 
     /// A point-in-time reading of this session's always-on counters (off the hot path).
     pub fn metrics_snapshot(&self) -> aivc_metrics::SessionSnapshot {
-        self.metrics.snapshot()
+        self.conversation.metrics_snapshot()
     }
 
     /// A session with the paper's compute defaults (γ = 3 allocator, medium-preset encoder,
@@ -406,12 +404,12 @@ impl NetworkedChatSession {
 
     /// The session options.
     pub fn options(&self) -> &NetSessionOptions {
-        &self.compute.options
+        self.conversation.options()
     }
 
     /// The congestion controller's current bandwidth estimate in bits per second.
     pub fn bandwidth_estimate_bps(&self) -> f64 {
-        self.gcc.estimate_bps()
+        self.conversation.bandwidth_estimate_bps()
     }
 
     /// Runs one networked chat turn over a window of captured frames.
@@ -427,21 +425,13 @@ impl NetworkedChatSession {
     /// The transport timeline is fresh per call (clock at zero, empty queue, packets in
     /// flight at the deadline discarded) — the single-turn semantics the golden fixtures
     /// pin down.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frames` is empty ("a chat turn needs at least one frame").
     pub fn run_turn(&mut self, frames: &[Frame], question: &Question) -> NetTurnReport {
-        let mut transport = Transport::with_metrics(
-            &self.compute.options,
-            self.gcc.estimate_bps(),
-            std::sync::Arc::clone(&self.metrics),
-        );
-        let mut sim = Simulation::new();
-        run_turn_window(
-            &mut self.compute,
-            &mut self.gcc,
-            &mut transport,
-            &mut sim,
-            frames,
-            question,
-        )
+        self.conversation.restart_transport();
+        self.conversation.run_turn(frames, question)
     }
 }
 

@@ -1,7 +1,5 @@
-//! The shared network-turn engine: one [`Actor`] state machine over the `aivc-sim`
-//! kernel, driven by both [`crate::NetworkedChatSession`] (fresh transport every turn —
-//! the pre-kernel semantics, byte-for-byte) and [`crate::Conversation`] (one persistent
-//! transport timeline across every turn of a conversation).
+//! The shared network-turn engine: the transport event loop every conversation driver
+//! runs, whatever timeline it runs on.
 //!
 //! The split is deliberate:
 //!
@@ -11,15 +9,20 @@
 //! * [`Transport`] owns everything the *network* needs — the emulated path, packetizer,
 //!   pacer, RTX store, FEC encode/recovery, reassembly, NACK generation, and the pending
 //!   congestion feedback — plus the per-turn counters the report reads;
-//! * [`TurnMachine`] borrows both for the duration of a drain and implements
-//!   [`Actor::on_event`]: the capture → encode → packetize → protect → pace → send →
-//!   arrive → recover loop of §2.2.
+//! * [`TurnMachine`] borrows both for one event and handles it: the capture → encode →
+//!   packetize → protect → pace → send → arrive → recover loop of §2.2;
+//! * [`begin_turn_window`] / [`conclude_turn_window`] open and close a turn around the
+//!   drain, with the window geometry fixed by [`TurnPlan::new`].
 //!
-//! The engine never owns the [`Simulation`]: the caller does, which is what decides the
-//! semantics. A fresh simulation per turn restarts the clock at zero and discards
-//! in-flight events at the deadline (the single-turn contract the golden fixtures pin);
-//! a persistent simulation keeps the clock, the queue backlog, the trace cursor and every
-//! in-flight packet across turn boundaries (the conversation contract).
+//! The engine never owns a timeline. [`crate::Conversation`] holds the compute and
+//! transport halves and is the one member type every driver runs; its events reach a
+//! timeline through [`MemberSink`], which tags them with the member's index. The lockstep
+//! drain (`conversation::Lockstep`) runs one conversation, a lane shard of a fleet, or a
+//! fresh single-turn timeline; the contention engine puts tenants on its own timeline.
+//! A fresh timeline per turn restarts the clock at zero and discards in-flight events at
+//! the deadline (the single-turn contract the golden fixtures pin); a persistent one keeps
+//! the clock, the queue backlog, the trace cursor and every in-flight packet across turn
+//! boundaries (the conversation contract).
 
 use crate::allocator::QpAllocator;
 use crate::context_aware::StreamerConfig;
@@ -39,7 +42,7 @@ use aivc_rtc::rtp::{PayloadKind, RtpPacket};
 use aivc_rtc::seq_ring::SeqRing;
 use aivc_scene::Frame;
 use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
-use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
+use aivc_sim::{SimDuration, SimTime, Simulation};
 use aivc_videocodec::{
     DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, Qp, QpMap, RatePlan,
 };
@@ -87,9 +90,8 @@ pub(crate) struct PacketRun {
     pub(crate) items: Vec<(u64, RtpPacket)>,
 }
 
-/// Where a [`TurnMachine`] schedules its follow-on events. A single-tenant timeline is a
-/// plain [`Simulation<NetEvent>`]; a multi-tenant engine wraps each tenant's events into
-/// its own composite event type and implements this to tag them on the way in.
+/// Where a [`TurnMachine`] schedules its follow-on events. Implemented once, by
+/// [`MemberSink`]: every timeline carries member-tagged events.
 pub(crate) trait NetEventSink {
     /// Schedules `event` at `when` on the owning timeline.
     fn schedule_net(&mut self, when: SimTime, event: NetEvent);
@@ -113,18 +115,50 @@ pub(crate) trait NetEventSink {
     fn reschedule_net_run(&mut self, when: SimTime, run: PacketRun);
 }
 
-impl NetEventSink for Simulation<NetEvent> {
+/// One member's transport event on a timeline shared by several members (the dslab
+/// actor-tagging pattern): a lane shard's conversations, or a contention cell's tenants.
+#[derive(Debug)]
+pub(crate) struct MemberEvent {
+    /// The member's index on the timeline.
+    pub(crate) member: u32,
+    /// The member's transport event.
+    pub(crate) event: NetEvent,
+}
+
+/// Tags a member's [`NetEvent`]s on their way into a timeline whose event type `E` can
+/// carry a [`MemberEvent`] — the lockstep drain's `Simulation<MemberEvent>` itself, or a
+/// driver's own event enum with a member-event variant.
+pub(crate) struct MemberSink<'a, E> {
+    pub(crate) member: u32,
+    pub(crate) sim: &'a mut Simulation<E>,
+}
+
+impl<E: From<MemberEvent>> MemberSink<'_, E> {
+    fn tag(&self, event: NetEvent) -> E {
+        E::from(MemberEvent {
+            member: self.member,
+            event,
+        })
+    }
+}
+
+impl<E: From<MemberEvent>> NetEventSink for MemberSink<'_, E> {
     fn schedule_net(&mut self, when: SimTime, event: NetEvent) {
-        self.schedule_at(when, event);
+        let event = self.tag(event);
+        self.sim.schedule_at(when, event);
     }
 
     fn schedule_net_run(&mut self, when: SimTime, mut run: PacketRun) {
-        run.seq = self.next_seq();
-        self.schedule_at(when, NetEvent::UplinkRun(run));
+        // The run's seq lives on the shared timeline — the tagged event's insertion seq.
+        run.seq = self.sim.next_seq();
+        let event = self.tag(NetEvent::UplinkRun(run));
+        self.sim.schedule_at(when, event);
     }
 
     fn reschedule_net_run(&mut self, when: SimTime, run: PacketRun) {
-        self.schedule_at_with_seq(when, run.seq, NetEvent::UplinkRun(run));
+        let seq = run.seq;
+        let event = self.tag(NetEvent::UplinkRun(run));
+        self.sim.schedule_at_with_seq(when, seq, event);
     }
 }
 
@@ -201,7 +235,7 @@ enum DegradationLevel {
 }
 
 /// The compute half of a networked session: the chat pipeline and every reusable scratch.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct NetCompute {
     pub(crate) options: NetSessionOptions,
     clip_model: ClipModel,
@@ -349,7 +383,7 @@ impl NetCompute {
 
 /// The transport half: the emulated path and every sender/receiver machine, with frame
 /// bookkeeping indexed by *global* frame id and per-turn counters the report reads.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Transport {
     emulator: NetworkEmulator,
     packetizer: Packetizer,
@@ -422,11 +456,9 @@ pub(crate) struct Transport {
     turn_captures_suppressed: u64,
     turn_probes_sent: u64,
     // --- always-on serving metrics ---
-    /// The session's always-on counters. Shared by `Arc`: the owning session keeps a
-    /// handle too, so counters survive transport rebuilds (a `NetworkedChatSession`
-    /// builds a fresh transport every turn). Note `Transport: Clone` clones the *handle*
-    /// — a cloned transport keeps ticking the same counters, which is what the
-    /// lane-sharded server wants and what ad-hoc copies must not forget.
+    /// The session's always-on counters. Shared by `Arc`, so counters survive transport
+    /// rebuilds: a `NetworkedChatSession` hands the same handle to the fresh transport it
+    /// builds every turn.
     metrics: Arc<SessionCounters>,
     /// `nack_gen.nacks_suppressed()` at the last report — per-turn commit delta.
     nacks_suppressed_reported: u64,
@@ -513,10 +545,10 @@ impl Transport {
             .filter(|slot| *slot < self.outgoing.len())
     }
 
-    /// The uplink's current queueing backlog in milliseconds — what a new turn inherits
-    /// from its predecessor on a shared timeline.
-    pub(crate) fn uplink_backlog_ms(&self, now: SimTime) -> f64 {
-        self.emulator.uplink().backlog(now).as_millis_f64()
+    /// The queueing backlog of the uplink `port` names, in milliseconds — what a new turn
+    /// inherits from its predecessor on a persistent timeline.
+    pub(crate) fn uplink_backlog_ms(&self, port: &UplinkPort<'_>, now: SimTime) -> f64 {
+        port.backlog_ms(&self.emulator, now)
     }
 
     /// Snapshot of the private uplink's cumulative counters (reads existing totals; no
@@ -653,51 +685,62 @@ impl TurnWindow {
     fn capture_ts_us(&self, global: usize) -> u64 {
         self.start_us + (global - self.base) as u64 * self.frame_interval_us
     }
+}
 
-    /// A dummy window for think-time drains: no captures are pending, so only `base`
-    /// anchors bookkeeping (mirrors [`drain_gap`]'s internal construction — external
-    /// drivers like the lane-sharded server need the same shape).
-    pub(crate) fn drain_at(base: usize, start: SimTime) -> Self {
-        Self {
+/// One planned turn window: its geometry on the timeline, its last capture and the answer
+/// deadline the caller must drain to before concluding.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TurnPlan {
+    pub(crate) window: TurnWindow,
+    /// Capture time of the turn's last frame.
+    pub(crate) last_capture: SimTime,
+    pub(crate) horizon: SimTime,
+}
+
+impl TurnPlan {
+    /// The geometry of a `frame_count`-frame turn whose first frame (global id `base`) is
+    /// captured at `start`: frames `1 / capture_fps` apart (rounded to the microsecond),
+    /// answer deadline `drain_secs` after the last capture. The one place the capture
+    /// interval and the horizon are derived — every driver plans its turns through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame_count` is zero: a turn with no capture has no deadline.
+    pub(crate) fn new(options: &NetSessionOptions, base: usize, start: SimTime, frame_count: usize) -> Self {
+        assert!(frame_count > 0, "a chat turn needs at least one frame");
+        let window = TurnWindow {
             base,
             start_us: start.as_micros(),
-            frame_interval_us: 1,
+            frame_interval_us: (1e6 / options.capture_fps).round() as u64,
+        };
+        let last_capture_us = window.capture_ts_us(base + frame_count - 1);
+        let drain_us = (options.drain_secs.max(0.0) * 1e6).round() as u64;
+        Self {
+            window,
+            last_capture: SimTime::from_micros(last_capture_us),
+            horizon: SimTime::from_micros(last_capture_us + drain_us),
         }
     }
 }
 
-/// The actor: borrows the compute and transport halves for one drain and handles the
-/// turn's events. During think-time drains (between turns of a conversation) `frames` is
-/// empty — no capture events are pending then, only deliveries, polls and feedback.
+/// Borrows the compute and transport halves for one event and handles it. `live` holds
+/// the open turn's frames and window; it is `None` between turns (think time), when no
+/// capture is pending — only deliveries, polls and feedback.
 pub(crate) struct TurnMachine<'a> {
     pub(crate) compute: &'a mut NetCompute,
     pub(crate) gcc: &'a mut GccController,
     pub(crate) t: &'a mut Transport,
-    pub(crate) frames: &'a [Frame],
-    pub(crate) window: TurnWindow,
+    pub(crate) live: Option<(&'a [Frame], TurnWindow)>,
     pub(crate) port: UplinkPort<'a>,
 }
 
-impl Actor for TurnMachine<'_> {
-    type Event = NetEvent;
-
-    fn on_event(&mut self, now: SimTime, event: NetEvent, sim: &mut Simulation<NetEvent>) {
-        self.handle(now, event, sim);
-    }
-}
-
 impl TurnMachine<'_> {
-    /// Handles one event, scheduling follow-ons into `sink`. This is [`Actor::on_event`]
-    /// with the timeline abstracted: the single-tenant path passes the simulation itself,
-    /// the multi-tenant engine passes a tagging wrapper.
+    /// Handles one event, scheduling follow-ons into `sink`.
     pub(crate) fn handle<S: NetEventSink>(&mut self, now: SimTime, event: NetEvent, sink: &mut S) {
         let t = &mut *self.t;
         match event {
             NetEvent::Capture(i) => {
-                debug_assert!(
-                    !self.frames.is_empty(),
-                    "capture event fired outside a turn window"
-                );
+                let (frames, window) = self.live.expect("capture event fired outside a turn window");
                 // --- Close the loop: everything the sender has learned by now. Matured
                 // entries fold straight into the GCC summary while the pending ring
                 // compacts in place — maturity times are not monotone (a loss matures on
@@ -744,7 +787,7 @@ impl TurnMachine<'_> {
                     t.metrics.pacer_rate_clamps.inc();
                 }
 
-                let local = i - self.window.base;
+                let local = i - window.base;
                 debug_assert_eq!(
                     t.retired_below + t.outgoing.len(),
                     i,
@@ -759,7 +802,7 @@ impl TurnMachine<'_> {
                     // simply reads as never delivered (the decoder conceals the gap).
                     t.outgoing.push(OutgoingFrame {
                         frame_id: i as u64,
-                        capture_ts_us: self.window.capture_ts_us(i),
+                        capture_ts_us: window.capture_ts_us(i),
                         size_bytes: 0,
                         is_keyframe: false,
                     });
@@ -828,11 +871,11 @@ impl TurnMachine<'_> {
 
                 // --- Encode frame i to the per-frame budget the target implies.
                 self.compute
-                    .encode_slot_to_budget(local, &self.frames[local], budget_bits);
+                    .encode_slot_to_budget(local, &frames[local], budget_bits);
                 let encoded = &self.compute.encoded_slots[local];
                 let frame_out = OutgoingFrame {
                     frame_id: i as u64,
-                    capture_ts_us: self.window.capture_ts_us(i),
+                    capture_ts_us: window.capture_ts_us(i),
                     size_bytes: encoded.total_bytes(),
                     is_keyframe: encoded.frame_type == aivc_videocodec::FrameType::Intra,
                 };
@@ -1097,60 +1140,10 @@ impl TurnMachine<'_> {
     }
 }
 
-/// Runs one chat-turn window on the given timeline, starting at `sim.now()`:
-/// schedules the captures, drains every event up to the turn's answer deadline, decodes
-/// whatever (partially) arrived and lets the MLLM answer.
-///
-/// On return the simulation clock sits exactly at the deadline; events beyond it (late
-/// packets, pending polls) stay queued — a persistent caller carries them into the next
-/// window, a single-turn caller drops the timeline.
-pub(crate) fn run_turn_window(
-    compute: &mut NetCompute,
-    gcc: &mut GccController,
-    transport: &mut Transport,
-    sim: &mut Simulation<NetEvent>,
-    frames: &[Frame],
-    question: &Question,
-) -> NetTurnReport {
-    assert!(!frames.is_empty(), "a chat turn needs at least one frame");
-    let now = sim.now();
-    let plan = begin_turn_window(compute, transport, now, sim, frames.len(), question);
-
-    {
-        let mut machine = TurnMachine {
-            compute,
-            gcc,
-            t: transport,
-            frames,
-            window: plan.window,
-            port: UplinkPort::Private,
-        };
-        sim.run_until(plan.horizon, &mut machine);
-    }
-
-    conclude_turn_window(
-        compute,
-        gcc,
-        transport,
-        &UplinkPort::Private,
-        &plan,
-        frames.len(),
-        question,
-    )
-}
-
-/// One planned turn window: its geometry on the timeline plus the answer deadline the
-/// caller must drain to before concluding.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TurnPlan {
-    pub(crate) window: TurnWindow,
-    pub(crate) horizon: SimTime,
-}
-
-/// Opens a turn window starting at `now`: refreshes the query, arms the deadline-aware
-/// NACK budget, resets the per-turn counters and schedules the capture events into
-/// `sink`. The caller then drains the timeline to the returned horizon (with a
-/// [`TurnMachine`] owning the matching window) and calls [`conclude_turn_window`].
+/// Opens a turn window at `now`: refreshes the query, arms the deadline-aware NACK
+/// budget, resets the per-turn counters and schedules the capture events into `sink`.
+/// The caller then drains the timeline to the returned plan's horizon (handing the plan's
+/// window to every capture) and calls [`conclude_turn_window`].
 pub(crate) fn begin_turn_window(
     compute: &mut NetCompute,
     transport: &mut Transport,
@@ -1159,39 +1152,32 @@ pub(crate) fn begin_turn_window(
     frame_count: usize,
     question: &Question,
 ) -> TurnPlan {
+    let plan = TurnPlan::new(&compute.options, transport.frames_sent(), now, frame_count);
     compute.refresh_query(question);
-    let opts = &compute.options;
-
-    let fps = opts.capture_fps;
-    let frame_interval_us = (1e6 / fps).round() as u64;
-    let window = TurnWindow {
-        base: transport.frames_sent(),
-        start_us: now.as_micros(),
-        frame_interval_us,
-    };
-    let last_capture_us = window.capture_ts_us(window.base + frame_count - 1);
-    let horizon = SimTime::from_micros(last_capture_us + (opts.drain_secs.max(0.0) * 1e6).round() as u64);
-
-    if opts.deadline_aware_nack {
+    if compute.options.deadline_aware_nack {
         // Expected NACK → RTX arrival: the request rides the downlink, the retransmission
         // rides the uplink, plus a pacing/serialization guard.
         let recovery_estimate =
             SimDuration::from_micros(transport.down_prop_us + transport.up_prop_us + 10_000);
-        transport.nack_gen.set_deadline(Some(horizon), recovery_estimate);
+        transport
+            .nack_gen
+            .set_deadline(Some(plan.horizon), recovery_estimate);
     }
     transport.begin_turn();
-    for i in 0..frame_count {
+    let window = plan.window;
+    for i in window.base..window.base + frame_count {
         sink.schedule_net(
-            SimTime::from_micros(window.capture_ts_us(window.base + i)),
-            NetEvent::Capture(window.base + i),
+            SimTime::from_micros(window.capture_ts_us(i)),
+            NetEvent::Capture(i),
         );
     }
-    TurnPlan { window, horizon }
+    plan
 }
 
-/// Concludes a drained turn window: decodes what arrived, lets the MLLM answer, and
-/// assembles the report. `port` must be the same uplink the machine sent on — it is only
-/// read here, for the per-turn fault-counter deltas.
+/// Concludes a drained turn window: decodes what arrived, lets the MLLM answer, assembles
+/// the report and retires the turn's transport state (memory stays bounded by the live
+/// turn — see [`Transport::retire_below`]). `port` must be the same uplink the machine
+/// sent on — it is only read here, for the per-turn fault-counter deltas.
 pub(crate) fn conclude_turn_window(
     compute: &mut NetCompute,
     gcc: &mut GccController,
@@ -1330,7 +1316,7 @@ pub(crate) fn conclude_turn_window(
             m.deadline_missed.inc();
         }
     }
-    NetTurnReport {
+    let report = NetTurnReport {
         answer,
         frames_sent: frame_count,
         frames_delivered,
@@ -1345,39 +1331,7 @@ pub(crate) fn conclude_turn_window(
         retransmissions_sent: transport.turn_retransmissions_sent,
         final_estimate_bps: gcc.estimate_bps(),
         resilience,
-    }
-    // Callers on a persistent timeline retire the reported frames via `finish_turn`.
-}
-
-/// Post-report bookkeeping for persistent timelines: retires every reported frame's
-/// transport state (memory stays bounded by the live turn) — see
-/// [`Transport::retire_below`].
-pub(crate) fn finish_turn(transport: &mut Transport) {
+    };
     transport.retire_below(transport.frames_sent());
-}
-
-/// Drains in-flight events (deliveries, polls, feedback, retransmissions) for `gap` of
-/// simulated time without capturing any frames — the user's think time between turns.
-pub(crate) fn drain_gap(
-    compute: &mut NetCompute,
-    gcc: &mut GccController,
-    transport: &mut Transport,
-    sim: &mut Simulation<NetEvent>,
-    gap: SimDuration,
-) {
-    let horizon = sim.now() + gap;
-    let window = TurnWindow {
-        base: transport.frames_sent(),
-        start_us: sim.now().as_micros(),
-        frame_interval_us: 1,
-    };
-    let mut machine = TurnMachine {
-        compute,
-        gcc,
-        t: transport,
-        frames: &[],
-        window,
-        port: UplinkPort::Private,
-    };
-    sim.run_until(horizon, &mut machine);
+    report
 }

@@ -22,9 +22,8 @@
 //! cores at server scale (DESIGN.md §"Threading model").
 
 use crate::context_aware::StreamerConfig;
-use crate::conversation::{Conversation, ConversationReport};
+use crate::conversation::{Conversation, ConversationReport, Lockstep};
 use crate::net_session::{FaultTelemetry, NetSessionOptions, NetTurnReport, NetworkedChatSession};
-use crate::net_turn::{NetEvent, NetEventSink, PacketRun, TurnPlan};
 use crate::session::{ChatSession, PipelineTurnReport};
 use aivc_metrics::SessionSnapshot;
 use aivc_mllm::{Answer, Question};
@@ -32,7 +31,7 @@ use aivc_netsim::LinkCounters;
 use aivc_par::MiniPool;
 use aivc_scene::Frame;
 use aivc_semantics::ClipModel;
-use aivc_sim::{Actor, SimDuration, SimTime, Simulation};
+use aivc_sim::{SimDuration, SimTime};
 
 /// Why a fleet of conversations was rejected at server admission
 /// ([`ConversationChatServer::try_with_sessions`]). Lane shards merge member timelines
@@ -358,168 +357,25 @@ impl NetworkedChatServer {
     }
 }
 
-/// One conversation pinned to a lane shard: the long-lived session plus the in-place
-/// report of its latest turn.
-#[derive(Debug)]
-struct ConversationSlot {
-    session: Conversation,
-    report: NetTurnReport,
-}
-
-/// An event on a shard's kernel: a member conversation's transport event, tagged with the
-/// member's position in the shard (the dslab actor-tagging pattern, same as the
-/// multi-tenant contention engine's `MtEvent::Net`).
-#[derive(Debug)]
-struct LaneEvent {
-    member: u32,
-    inner: NetEvent,
-}
-
-/// Tags a member's [`NetEvent`]s on their way into the shard kernel.
-struct LaneSink<'a> {
-    member: u32,
-    sim: &'a mut Simulation<LaneEvent>,
-}
-
-impl NetEventSink for LaneSink<'_> {
-    fn schedule_net(&mut self, when: SimTime, event: NetEvent) {
-        self.sim.schedule_at(
-            when,
-            LaneEvent {
-                member: self.member,
-                inner: event,
-            },
-        );
-    }
-
-    fn schedule_net_run(&mut self, when: SimTime, mut run: PacketRun) {
-        // The run's seq lives on the *shard* timeline — the wrapped event's insertion seq.
-        run.seq = self.sim.next_seq();
-        self.sim.schedule_at(
-            when,
-            LaneEvent {
-                member: self.member,
-                inner: NetEvent::UplinkRun(run),
-            },
-        );
-    }
-
-    fn reschedule_net_run(&mut self, when: SimTime, run: PacketRun) {
-        self.sim.schedule_at_with_seq(
-            when,
-            run.seq,
-            LaneEvent {
-                member: self.member,
-                inner: NetEvent::UplinkRun(run),
-            },
-        );
-    }
-}
-
-/// The per-event dispatcher over a shard's members. During a turn drain every member has
-/// a plan (its live window geometry); during a think drain `plans` is empty and events
-/// are deliveries/polls/feedback only.
-struct ShardActor<'a> {
-    members: &'a mut [ConversationSlot],
-    plans: &'a [TurnPlan],
-    frames: &'a [Frame],
-}
-
-impl Actor for ShardActor<'_> {
-    type Event = LaneEvent;
-
-    fn on_event(&mut self, now: SimTime, event: LaneEvent, sim: &mut Simulation<LaneEvent>) {
-        let m = event.member as usize;
-        let live = self.plans.get(m).map(|plan| (self.frames, plan.window));
-        self.members[m].session.handle_net(
-            now,
-            event.inner,
-            live,
-            &mut LaneSink {
-                member: event.member,
-                sim,
-            },
-        );
-    }
-}
-
-/// One lane's shard: **one** `aivc-sim` kernel shared by every conversation pinned to the
-/// lane, instead of one kernel per conversation. Sessions on a shard are mutually
-/// independent — their events are member-tagged and never interact — so sharing the
-/// event queue changes *which heap* an event pops from, never what any session computes:
-/// restricted to one member, the (time, insertion-order) pop order on the shared kernel
-/// is exactly the pop order on a private one. That is the induction behind the
-/// bit-identical-for-any-pool-size contract, and it requires the uniform turn geometry
-/// [`ConversationChatServer::with_sessions`] asserts (same think gap, capture fps and
-/// drain window, so every member's phase boundaries coincide).
+/// One lane's shard: the conversations pinned to the lane on **one** lockstep timeline
+/// ([`Lockstep`]) instead of one kernel per conversation, plus the in-place report of each
+/// member's latest turn. Restricted to one member, the shared kernel's pop order is
+/// exactly that member's private order — the induction behind the
+/// bit-identical-for-any-pool-size contract. It needs the uniform turn geometry
+/// [`ConversationChatServer::try_with_sessions`] checks.
 #[derive(Debug)]
 struct ConversationShard {
-    sim: Simulation<LaneEvent>,
-    members: Vec<ConversationSlot>,
-    /// Reusable per-turn plan buffer (capacity retained across turns).
-    plans: Vec<TurnPlan>,
+    timeline: Lockstep,
+    members: Vec<Conversation>,
+    reports: Vec<NetTurnReport>,
 }
 
 impl ConversationShard {
-    fn new() -> Self {
-        Self {
-            sim: Simulation::new(),
-            members: Vec::new(),
-            plans: Vec::new(),
-        }
-    }
-
-    /// Advances every member by one turn on the shared kernel: think-drain, open every
-    /// member's window, drain to the common horizon, conclude in member order.
+    /// Advances every member by one turn on the shard's timeline.
     fn run_turn(&mut self, frames: &[Frame], question: &Question) {
-        if self.members.is_empty() {
-            return;
-        }
-        // Think gap (uniform across members, asserted at construction): in-flight
-        // packets arrive, polls fire, retransmissions flow — no captures pending.
-        let think = self.members[0].session.think_gap();
-        if self.members[0].session.turn_count() > 0 && think > SimDuration::ZERO {
-            let horizon = self.sim.now() + think;
-            let mut actor = ShardActor {
-                members: &mut self.members,
-                plans: &[],
-                frames: &[],
-            };
-            self.sim.run_until(horizon, &mut actor);
-        }
-        // Open every member's turn window at the common start time.
-        let now = self.sim.now();
-        self.plans.clear();
-        for (m, slot) in self.members.iter_mut().enumerate() {
-            let plan = slot.session.begin_turn_on(
-                now,
-                &mut LaneSink {
-                    member: m as u32,
-                    sim: &mut self.sim,
-                },
-                frames.len(),
-                question,
-            );
-            self.plans.push(plan);
-        }
-        // Uniform geometry ⇒ one shared answer deadline.
-        let horizon = self.plans[0].horizon;
-        debug_assert!(
-            self.plans.iter().all(|p| p.horizon == horizon),
-            "lane members must share the turn horizon"
-        );
-        let mut actor = ShardActor {
-            members: &mut self.members,
-            plans: &self.plans,
-            frames,
-        };
-        self.sim.run_until(horizon, &mut actor);
-        // Conclude in member order (pure per-member state reads — order-independent).
-        for (m, slot) in self.members.iter_mut().enumerate() {
-            let report = slot
-                .session
-                .conclude_turn_on(&self.plans[m], frames.len(), question);
-            slot.report.clone_from(report);
+        self.timeline.run_turn(&mut self.members, frames, question);
+        for (report, member) in self.reports.iter_mut().zip(&self.members) {
+            report.clone_from(member.turns().last().expect("the turn just concluded"));
         }
     }
 }
@@ -529,9 +385,10 @@ impl ConversationShard {
 /// in-flight packet set and think-time rhythm — executing turns across a [`MiniPool`]
 /// with the same static session→lane mapping.
 ///
-/// Unlike the other servers, conversations here do **not** each own a private event
-/// kernel: every lane runs *one* shared `aivc-sim` kernel ([`ConversationShard`]) that
-/// multiplexes all of its pinned sessions' events — tens of thousands of sessions cost
+/// Unlike the other servers, conversations here do **not** each run a private event
+/// kernel: every lane runs *one* shared `aivc-sim` kernel ([`ConversationShard`], a
+/// many-member instance of the lockstep drain a lone [`Conversation`] runs on its own
+/// timeline) that multiplexes all of its pinned sessions' events — tens of thousands of sessions cost
 /// lane-many kernels, not session-many. Session `i` is pinned to lane `i % lanes` (as
 /// everywhere else) and sits at shard position `i / lanes`, so reports merge back into
 /// global session order deterministically.
@@ -617,13 +474,18 @@ impl ConversationChatServer {
     /// Shards validated sessions across the pool's lanes.
     fn admit_sessions(pool: MiniPool, sessions: Vec<Conversation>) -> Self {
         let lanes = pool.lanes();
-        let mut shards: Vec<ConversationShard> = (0..lanes).map(|_| ConversationShard::new()).collect();
+        let mut shards: Vec<ConversationShard> = (0..lanes)
+            .map(|_| ConversationShard {
+                timeline: Lockstep::default(),
+                members: Vec::new(),
+                reports: Vec::new(),
+            })
+            .collect();
         let sessions_count = sessions.len();
         for (i, session) in sessions.into_iter().enumerate() {
-            shards[i % lanes].members.push(ConversationSlot {
-                session,
-                report: NetTurnReport::placeholder(),
-            });
+            let shard = &mut shards[i % lanes];
+            shard.members.push(session);
+            shard.reports.push(NetTurnReport::placeholder());
         }
         Self {
             lane_units: vec![(); lanes],
@@ -643,20 +505,31 @@ impl ConversationChatServer {
         self.sessions
     }
 
-    /// The slot of global session `index` (lane `index % lanes`, position
-    /// `index / lanes` — the static pinning, inverted).
-    fn slot(&self, index: usize) -> &ConversationSlot {
+    /// Lane and shard position of global session `index` (lane `index % lanes`,
+    /// position `index / lanes` — the static pinning, inverted).
+    fn position(&self, index: usize) -> (&ConversationShard, usize) {
         let lanes = self.pool.lanes();
-        &self.shards[index % lanes].members[index / lanes]
+        (&self.shards[index % lanes], index / lanes)
     }
 
-    fn slots(&self) -> impl Iterator<Item = &ConversationSlot> {
-        (0..self.sessions).map(|i| self.slot(i))
+    fn conversation(&self, index: usize) -> &Conversation {
+        let (shard, at) = self.position(index);
+        &shard.members[at]
+    }
+
+    fn conversations(&self) -> impl Iterator<Item = &Conversation> {
+        (0..self.sessions).map(|i| self.conversation(i))
     }
 
     /// Advances every conversation by one turn — each lane's kernel drains all of its
     /// pinned sessions' events in one merged chronological pass. Per-session results are
     /// bit-identical to calling [`Conversation::run_turn`] directly, for any pool size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frames` is empty ("a chat turn needs at least one frame") and the fleet
+    /// has a conversation — the same check, with the same message, as
+    /// [`Conversation::run_turn`].
     pub fn run_turns(&mut self, frames: &[Frame], question: &Question) {
         if self.sessions == 0 {
             return;
@@ -674,39 +547,40 @@ impl ConversationChatServer {
     /// [`Conversation::reserve_turns`]) so warmed steady-state turns never reallocate.
     pub fn reserve_turns(&mut self, additional_turns: usize, frames_per_turn: usize) {
         for shard in &mut self.shards {
-            shard.plans.reserve(shard.members.len());
-            for slot in &mut shard.members {
-                slot.session.reserve_turns(additional_turns, frames_per_turn);
+            shard.timeline.reserve_members(shard.members.len());
+            for session in &mut shard.members {
+                session.reserve_turns(additional_turns, frames_per_turn);
             }
         }
     }
 
     /// The latest per-turn report of every conversation, in session order.
     pub fn reports(&self) -> impl Iterator<Item = &NetTurnReport> {
-        self.slots().map(|slot| &slot.report)
+        (0..self.sessions).map(|i| self.report(i))
     }
 
     /// The latest per-turn report of conversation `index`.
     pub fn report(&self, index: usize) -> &NetTurnReport {
-        &self.slot(index).report
+        let (shard, at) = self.position(index);
+        &shard.reports[at]
     }
 
     /// The full cross-turn report of conversation `index`.
     pub fn conversation_report(&self, index: usize) -> ConversationReport {
-        self.slot(index).session.report()
+        self.conversation(index).report()
     }
 
     /// A point-in-time reading of conversation `index`'s always-on counters.
     pub fn metrics_snapshot(&self, index: usize) -> SessionSnapshot {
-        self.slot(index).session.metrics_snapshot()
+        self.conversation(index).metrics_snapshot()
     }
 
     /// The whole fleet's always-on counters, summed across sessions. Relaxed-atomic
     /// reads plus plain adds — entirely off the turn hot path.
     pub fn fleet_metrics(&self) -> SessionSnapshot {
         let mut total = SessionSnapshot::default();
-        for slot in self.slots() {
-            total.accumulate(&slot.session.metrics_snapshot());
+        for session in self.conversations() {
+            total.accumulate(&session.metrics_snapshot());
         }
         total
     }
@@ -737,8 +611,7 @@ impl ConversationChatServer {
         let mut resilience = FaultTelemetry::default();
         let mut counters = SessionSnapshot::default();
         let mut turns_completed = 0;
-        for slot in self.slots() {
-            let session = &slot.session;
+        for session in self.conversations() {
             turns_completed += session.turn_count();
             let c = session.link_counters();
             uplink.offered += c.offered;
@@ -940,28 +813,79 @@ mod tests {
         assert!(server.mean_probability_correct() > 0.5);
     }
 
+    /// Traditional ABR with the whole resilience stack (watchdog, adaptive FEC,
+    /// degradation ladder) and deadline-aware NACK, on a 3 Mbps Gilbert–Elliott uplink
+    /// that blacks out from 1.35 s to 1.85 s — across turn 1 of a conversation with a
+    /// 600 ms think gap — starting from a 6 Mbps estimate that floods the queue.
+    fn lossy_resilient_template(seed: u64) -> NetSessionOptions {
+        let mut path = aivc_netsim::PathConfig::paper_section_2_2(0.0);
+        path.uplink = aivc_netsim::LinkConfig::constant(
+            3e6,
+            SimDuration::from_millis(40),
+            300,
+            aivc_netsim::LossModel::GilbertElliott {
+                p_good_to_bad: 0.05,
+                p_bad_to_good: 0.3,
+                loss_good: 0.02,
+                loss_bad: 0.5,
+            },
+        );
+        path.uplink.faults =
+            aivc_netsim::FaultSchedule::blackout(SimTime::from_millis(1350), SimDuration::from_millis(500));
+        let mut options = NetSessionOptions::traditional(seed, path).with_resilience();
+        options.deadline_aware_nack = true;
+        options.capture_fps = 8.0;
+        options.gcc.initial_estimate_bps = 6e6;
+        options
+    }
+
     #[test]
     fn conversation_server_matches_standalone_conversations_across_turns() {
         let q = question();
         let think = SimDuration::from_millis(600);
-        let mut server = ConversationChatServer::new(2, 3, net_template(70), think);
-        for t in 0..3 {
-            server.run_turns(&turn_window(t), &q);
-        }
-        for i in 0..3 {
-            let mut options = net_template(70);
-            options.seed += i as u64;
-            let mut standalone = Conversation::with_defaults(options, think);
+        for (template, lossy) in [(net_template(70), false), (lossy_resilient_template(70), true)] {
+            let mut server = ConversationChatServer::new(2, 3, template.clone(), think);
             for t in 0..3 {
-                standalone.run_turn(&turn_window(t), &q);
+                server.run_turns(&turn_window(t), &q);
             }
-            assert_eq!(
-                server.conversation_report(i),
-                standalone.report(),
-                "conversation {i}"
-            );
+            for i in 0..3 {
+                let mut options = template.clone();
+                options.seed += i as u64;
+                let mut standalone = Conversation::with_defaults(options, think);
+                for t in 0..3 {
+                    standalone.run_turn(&turn_window(t), &q);
+                }
+                assert_eq!(
+                    server.conversation_report(i),
+                    standalone.report(),
+                    "lossy {lossy}, conversation {i}"
+                );
+            }
+            assert!(server.mean_probability_correct() > 0.5);
+            if lossy {
+                // The lossy input really drives every recovery path through the drain.
+                let fleet = server.serving_report();
+                let c = fleet.counters;
+                assert!(
+                    c.retransmissions_sent > 0 && c.nacks_suppressed > 0 && c.fec_recovered_frames > 0,
+                    "{c:?}"
+                );
+                assert!(c.frames_shed > 0 && c.captures_suppressed > 0, "{c:?}");
+                assert!(
+                    fleet.uplink.outage_drops > 0 && fleet.resilience.time_to_recover_ms.is_some(),
+                    "{fleet}"
+                );
+            }
         }
-        assert!(server.mean_probability_correct() > 0.5);
+    }
+
+    /// An empty turn window is rejected by the one check every driver shares — never
+    /// committed as a zero-frame turn with a wrapped horizon.
+    #[test]
+    #[should_panic(expected = "a chat turn needs at least one frame")]
+    fn conversation_server_rejects_an_empty_turn_window() {
+        let mut server = ConversationChatServer::new(2, 2, net_template(3), SimDuration::from_millis(100));
+        server.run_turns(&[], &question());
     }
 
     fn turn_window(turn: usize) -> Vec<Frame> {
