@@ -248,8 +248,11 @@ pub(crate) struct NetCompute {
     /// Scratch map the rate-control search refills for the one real encode.
     probe_map: QpMap,
     /// Per-frame probe coefficients (grid raster + QP-independent rate terms), prepared
-    /// once per capture so the binary search's probes never re-rasterize the frame.
+    /// once per capture so the rate search's probes never re-rasterize the frame.
     rate_plan: RatePlan,
+    /// The previous capture's rate-search boundary: where the next search starts. It
+    /// only decides which levels get probed, never the level chosen.
+    rate_hint: i32,
     encode_scratches: Vec<EncodeScratch>,
     /// The committed encode of each turn slot (needed again at decode time). Slots are
     /// turn-local: a conversation reuses them every turn.
@@ -274,6 +277,7 @@ impl NetCompute {
             qp_map: QpMap::empty(),
             probe_map: QpMap::empty(),
             rate_plan: RatePlan::new(),
+            rate_hint: 0,
             encode_scratches: Vec::new(),
             encoded_slots: Vec::new(),
             decode_scratch: DecodeScratch::new(),
@@ -299,14 +303,16 @@ impl NetCompute {
     }
 
     /// Encodes `frame` into turn slot `slot` at the closest achievable size to
-    /// `budget_bits`.
+    /// `budget_bits`, returning the number of rate probes the search ran.
     ///
-    /// Context-aware mode binary-searches a uniform QP offset on top of the frame's Eq. 2
-    /// map (coded bits are monotone decreasing in the offset — the same §3.2
-    /// bitrate-matching procedure `ContextAwareStreamer::encode_at_bitrate` uses, but per
-    /// frame and per target); baseline mode binary-searches the single uniform QP a
-    /// traditional WebRTC encoder's rate control would pick.
-    fn encode_slot_to_budget(&mut self, slot: usize, frame: &Frame, budget_bits: f64) {
+    /// Context-aware mode searches a uniform QP offset on top of the frame's Eq. 2 map
+    /// (coded bits are monotone decreasing in the offset — the same §3.2 bitrate-matching
+    /// procedure `ContextAwareStreamer::encode_at_bitrate` uses, but per frame and per
+    /// target); baseline mode searches the single uniform QP a traditional WebRTC
+    /// encoder's rate control would pick. Either search returns exactly the level a
+    /// bisection over the range picks, but starts from the previous capture's boundary,
+    /// so a warm conversation probes ~3–4 levels per capture instead of ~7.
+    fn encode_slot_to_budget(&mut self, slot: usize, frame: &Frame, budget_bits: f64) -> u32 {
         if self.encode_scratches.len() <= slot {
             self.encode_scratches.resize_with(slot + 1, EncodeScratch::new);
         }
@@ -315,53 +321,31 @@ impl NetCompute {
                 .resize_with(slot + 1, EncodedFrame::placeholder);
         }
         let grid = self.encoder.grid_for(frame);
-        let (mut lo, mut hi) = match self.options.mode {
+        // One rate plan per capture: the grid raster and every QP-independent rate term
+        // are folded into per-block coefficients once, so each probe is a tight
+        // table-lookup pass instead of a full re-rasterization (this was ~90 % of a warm
+        // turn before; see DESIGN.md §"Where the warm turn's microsecond goes"). Probes
+        // are byte-exact with `predict_map_size` and therefore with a real encode
+        // (test-asserted), so the chosen level is the one full encodes would pick.
+        let search = match self.options.mode {
             StreamingMode::ContextAware => {
                 let importance = self
                     .clip_model
                     .correlation_map_coherent(frame, &self.query, &mut self.clip);
                 self.allocator.allocate_into(importance, grid, &mut self.qp_map);
-                (-51i32, 51i32)
-            }
-            StreamingMode::Baseline => (0i32, 51i32),
-        };
-        // One rate plan per capture: the grid raster and every QP-independent rate term
-        // are folded into per-block coefficients once, so each probe below is a tight
-        // table-lookup pass instead of a full re-rasterization (this was ~90 % of a warm
-        // turn before; see DESIGN.md §"Where the warm turn's microsecond goes").
-        match self.options.mode {
-            StreamingMode::ContextAware => {
                 self.encoder
-                    .prepare_rate_plan(frame, Some(&self.qp_map), &mut self.rate_plan)
+                    .prepare_rate_plan(frame, Some(&self.qp_map), &mut self.rate_plan);
+                self.encoder
+                    .search_plan_offset(&self.rate_plan, budget_bits, self.rate_hint)
             }
-            StreamingMode::Baseline => self.encoder.prepare_rate_plan(frame, None, &mut self.rate_plan),
-        }
-        let mut best_level = lo;
-        let mut best_err = f64::INFINITY;
-        while lo <= hi {
-            let mid = (lo + hi) / 2;
-            // Plan probes predict the coded size without materializing blocks — byte-exact
-            // with `predict_map_size` and therefore with a real encode (test-asserted), so
-            // the search trajectory and the `err < best_err` tie-breaking are identical to
-            // probing with full encodes.
-            let size = match self.options.mode {
-                StreamingMode::ContextAware => self.encoder.predict_plan_offset_size(&self.rate_plan, mid),
-                StreamingMode::Baseline => {
-                    self.encoder.predict_plan_uniform_size(&self.rate_plan, Qp::new(mid))
-                }
-            };
-            let bits = (size * 8) as f64;
-            let err = (bits - budget_bits).abs();
-            if err < best_err {
-                best_err = err;
-                best_level = mid;
+            StreamingMode::Baseline => {
+                self.encoder.prepare_rate_plan(frame, None, &mut self.rate_plan);
+                self.encoder
+                    .search_plan_uniform(&self.rate_plan, budget_bits, self.rate_hint)
             }
-            if bits > budget_bits {
-                lo = mid + 1;
-            } else {
-                hi = mid - 1;
-            }
-        }
+        };
+        self.rate_hint = search.boundary;
+        let best_level = search.level;
         // One real encode, at the level the search settled on.
         let mut probe_map = std::mem::replace(&mut self.probe_map, QpMap::empty());
         match self.options.mode {
@@ -378,6 +362,7 @@ impl NetCompute {
             &mut self.encoded_slots[slot],
         );
         self.probe_map = probe_map;
+        search.probes
     }
 }
 
@@ -870,8 +855,11 @@ impl TurnMachine<'_> {
                 };
 
                 // --- Encode frame i to the per-frame budget the target implies.
-                self.compute
+                let probes = self
+                    .compute
                     .encode_slot_to_budget(local, &frames[local], budget_bits);
+                t.metrics.rate_searches.inc();
+                t.metrics.rate_probes.add(probes.into());
                 let encoded = &self.compute.encoded_slots[local];
                 let frame_out = OutgoingFrame {
                     frame_id: i as u64,

@@ -95,6 +95,10 @@ pub struct SessionCounters {
     pub late_seq_drops: Counter,
     /// Pacer rate updates clamped up to the documented floor.
     pub pacer_rate_clamps: Counter,
+    /// Captures the encoder rate-searched (one search per encoded capture).
+    pub rate_searches: Counter,
+    /// Coded-size probes those searches ran.
+    pub rate_probes: Counter,
 }
 
 impl SessionCounters {
@@ -119,6 +123,8 @@ impl SessionCounters {
             packets_sent: self.packets_sent.get(),
             late_seq_drops: self.late_seq_drops.get(),
             pacer_rate_clamps: self.pacer_rate_clamps.get(),
+            rate_searches: self.rate_searches.get(),
+            rate_probes: self.rate_probes.get(),
         }
     }
 }
@@ -153,6 +159,10 @@ pub struct SessionSnapshot {
     pub late_seq_drops: u64,
     /// See [`SessionCounters::pacer_rate_clamps`].
     pub pacer_rate_clamps: u64,
+    /// See [`SessionCounters::rate_searches`].
+    pub rate_searches: u64,
+    /// See [`SessionCounters::rate_probes`].
+    pub rate_probes: u64,
 }
 
 impl SessionSnapshot {
@@ -171,6 +181,8 @@ impl SessionSnapshot {
         self.packets_sent += other.packets_sent;
         self.late_seq_drops += other.late_seq_drops;
         self.pacer_rate_clamps += other.pacer_rate_clamps;
+        self.rate_searches += other.rate_searches;
+        self.rate_probes += other.rate_probes;
     }
 }
 
@@ -180,7 +192,7 @@ impl fmt::Display for SessionSnapshot {
             f,
             "frames {}/{} | pkts {} sent, {} lost, {} rtx | fec {} | shed {} | \
              suppressed {} nacks, {} captures | missed {} deadlines | {} fallbacks | \
-             {} late drops | {} pacer clamps",
+             {} late drops | {} pacer clamps | {} rate probes over {} searches",
             self.frames_delivered,
             self.frames_sent,
             self.packets_sent,
@@ -194,6 +206,8 @@ impl fmt::Display for SessionSnapshot {
             self.watchdog_fallbacks,
             self.late_seq_drops,
             self.pacer_rate_clamps,
+            self.rate_probes,
+            self.rate_searches,
         )
     }
 }

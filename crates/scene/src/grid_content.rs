@@ -107,7 +107,8 @@ impl GridContent {
         self.area.reserve(n);
         for row in 0..dims.rows {
             for col in 0..dims.cols {
-                self.area.push(dims.cell_rect(row, col, frame.width, frame.height).area());
+                self.area
+                    .push(dims.cell_rect(row, col, frame.width, frame.height).area());
             }
         }
         let frame_rect = frame.rect();
@@ -246,7 +247,11 @@ mod tests {
                 let rect = dims.cell_rect(row, col, frame.width, frame.height);
                 frame.region_content_into(&rect, &mut content);
                 let at = |v: &[f64]| v[idx];
-                assert_eq!(at(grid.complexity()), content.complexity, "complexity {row},{col}");
+                assert_eq!(
+                    at(grid.complexity()),
+                    content.complexity,
+                    "complexity {row},{col}"
+                );
                 assert_eq!(at(grid.motion()), content.motion, "motion {row},{col}");
                 assert_eq!(at(grid.detail()), content.detail, "detail {row},{col}");
                 assert_eq!(
@@ -254,18 +259,19 @@ mod tests {
                     content.background_fraction,
                     "bg {row},{col}"
                 );
-                assert_eq!(grid.coverage(idx), &content.object_coverage[..], "coverage {row},{col}");
+                assert_eq!(
+                    grid.coverage(idx),
+                    &content.object_coverage[..],
+                    "coverage {row},{col}"
+                );
                 assert_eq!(grid.area()[idx], rect.area(), "area {row},{col}");
             }
         }
     }
 
     fn busy_scene() -> Scene {
-        let mut s = Scene::new("busy", 1920, 1080).with_background(
-            0.25,
-            0.05,
-            vec![(Concept::new("court"), 1.0)],
-        );
+        let mut s =
+            Scene::new("busy", 1920, 1080).with_background(0.25, 0.05, vec![(Concept::new("court"), 1.0)]);
         s.add_object(
             SceneObject::new(1, "scoreboard", Rect::new(100, 40, 320, 160))
                 .with_concept("scoreboard", 1.0)

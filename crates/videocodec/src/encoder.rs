@@ -8,7 +8,7 @@
 use crate::frame::{EncodedBlock, EncodedFrame, FrameType};
 use crate::gop::GopStructure;
 use crate::qp::{Qp, QpMap};
-use crate::rd::{RdModel, RATE_LANES};
+use crate::rd::{bytes_of_bits, RdModel, RATE_LANES};
 use aivc_par::MiniPool;
 use aivc_scene::grid_content::GridContent;
 use aivc_scene::{Frame, GridDims};
@@ -267,7 +267,11 @@ impl Encoder {
         out: &mut EncodedFrame,
     ) {
         let dims = self.grid_for(frame);
-        assert_eq!(plan.dims(), dims, "rate plan was prepared for a different frame grid");
+        assert_eq!(
+            plan.dims(),
+            dims,
+            "rate plan was prepared for a different frame grid"
+        );
         let EncodeScratch {
             coverage_cache,
             quality_memo,
@@ -303,7 +307,15 @@ impl Encoder {
             last_coverage,
         } = scratch;
         grid.fill(frame, self.config.block_size);
-        self.encode_walk::<CACHE>(frame, qp_map, grid, coverage_cache, quality_memo, last_coverage, out);
+        self.encode_walk::<CACHE>(
+            frame,
+            qp_map,
+            grid,
+            coverage_cache,
+            quality_memo,
+            last_coverage,
+            out,
+        );
     }
 
     /// The block walk shared by [`Encoder::encode_into_impl`] (own raster, freshly
@@ -399,7 +411,7 @@ impl Encoder {
         self.rd
             .block_bits_batch(&factors, &pixels, &complexity, &motion, frame_type, &mut bits);
         for (byte_len, &b) in out.iter_mut().zip(&bits) {
-            *byte_len = (((b as f64 * preset_factor) / 8.0).ceil() as u32).max(1);
+            *byte_len = bytes_of_bits(b as f64, preset_factor) as u32;
         }
     }
 
@@ -446,8 +458,7 @@ impl Encoder {
         byte_len: u32,
     ) -> EncodedBlock {
         let detail = grid.detail()[idx];
-        let quality = if quality_memo.qp == qp.value() as u16
-            && quality_memo.detail_bits == detail.to_bits()
+        let quality = if quality_memo.qp == qp.value() as u16 && quality_memo.detail_bits == detail.to_bits()
         {
             quality_memo.quality
         } else {
@@ -462,15 +473,9 @@ impl Encoder {
         let coverage = grid.coverage(idx);
         let object_coverage = if coverage.is_empty() {
             Arc::clone(&self.empty_coverage)
-        } else if let Some(cached) = coverage_cache
-            .get(idx)
-            .filter(|cached| cached[..] == *coverage)
-        {
+        } else if let Some(cached) = coverage_cache.get(idx).filter(|cached| cached[..] == *coverage) {
             Arc::clone(cached)
-        } else if let Some(last) = last_coverage
-            .as_ref()
-            .filter(|last| last[..] == *coverage)
-        {
+        } else if let Some(last) = last_coverage.as_ref().filter(|last| last[..] == *coverage) {
             let shared = Arc::clone(last);
             if CACHE {
                 while coverage_cache.len() <= idx {
@@ -903,7 +908,9 @@ mod tests {
             let rect = dims.cell_rect(row, col, frame.width, frame.height);
             frame.region_content_into(&rect, &mut content);
             let qp = map.get_index(idx);
-            let bits = enc.rd_model().block_bits(qp, rect.area(), content.complexity, content.motion, frame_type);
+            let bits =
+                enc.rd_model()
+                    .block_bits(qp, rect.area(), content.complexity, content.motion, frame_type);
             let bytes = (((bits as f64 * preset_factor) / 8.0).ceil() as u32).max(1);
             assert_eq!(block.byte_len, bytes, "bytes {idx}");
             assert_eq!(block.byte_offset, offset, "offset {idx}");
@@ -916,7 +923,11 @@ mod tests {
             assert_eq!(block.detail, content.detail, "detail {idx}");
             assert_eq!(block.complexity, content.complexity, "complexity {idx}");
             assert_eq!(block.motion, content.motion, "motion {idx}");
-            assert_eq!(&block.object_coverage[..], &content.object_coverage[..], "coverage {idx}");
+            assert_eq!(
+                &block.object_coverage[..],
+                &content.object_coverage[..],
+                "coverage {idx}"
+            );
             offset += bytes as u64;
         }
     }
@@ -927,14 +938,14 @@ mod tests {
         // batch (1, 4, 6 blocks), exactly one (8), multiples (16), and non-multiples with
         // every partial-edge-cell flavour (510 blocks at 1080p, 12, 35).
         let cases = [
-            (64u32, 64u32),     // 1 block
-            (256, 64),          // 4
-            (130, 170),         // 3×2 = 6, partial edges both axes
-            (512, 64),          // 8, exactly one batch
-            (1024, 64),         // 16
-            (256, 192),         // 4×3 = 12
-            (448, 320),         // 7×5 = 35
-            (1920, 1080),       // 30×17 = 510
+            (64u32, 64u32), // 1 block
+            (256, 64),      // 4
+            (130, 170),     // 3×2 = 6, partial edges both axes
+            (512, 64),      // 8, exactly one batch
+            (1024, 64),     // 16
+            (256, 192),     // 4×3 = 12
+            (448, 320),     // 7×5 = 35
+            (1920, 1080),   // 30×17 = 510
         ];
         for (w, h) in cases {
             let mut scene = basketball_game(1);

@@ -61,6 +61,45 @@ impl Default for RdModel {
 /// (or four NEON ones), enough for LLVM to keep the whole rate law in vector registers.
 pub const RATE_LANES: usize = 8;
 
+/// 2^52: every `f64` at or above it is an integer.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+/// `u64::MAX as f64` (exactly 2^64): where `ceil(x) as u64` saturates, seen as an `f64`.
+const U64_SATURATED: f64 = 18_446_744_073_709_551_616.0;
+
+/// `x.ceil()` for `x ≥ 0` (and `+∞`) without a libm call, which the baseline x86-64
+/// target otherwise pays per block. Below 2^52, `x + 2^52` lands in `[2^52, 2^53)`, where
+/// the `f64` spacing is exactly 1, so the round trip rounds `x` to the nearest integer
+/// `r` (the addition is the only inexact step); `r ≥ x` means `r − x ≤ ½`, so `r` is the
+/// ceiling, and `r < x` means the ceiling is `r + 1`. At or above 2^52, `x` is already an
+/// integer.
+#[inline(always)]
+pub(crate) fn ceil_non_negative(x: f64) -> f64 {
+    let r = (x + TWO_POW_52) - TWO_POW_52;
+    let r = if r < x { r + 1.0 } else { r };
+    if x < TWO_POW_52 {
+        r
+    } else {
+        x
+    }
+}
+
+/// `ceil(product) as u64`, computed as the `f64` that value converts back to: 0 for a
+/// NaN or non-positive product, the ceiling below 2^64, and 2^64 where the cast
+/// saturates (which `as u64` maps back to `u64::MAX`).
+#[inline(always)]
+pub(crate) fn ceil_bits(product: f64) -> f64 {
+    ceil_non_negative(if product > 0.0 { product } else { 0.0 }).min(U64_SATURATED)
+}
+
+/// A block's coded byte count from its bit count (an integer-valued `f64` in
+/// `[0, 2^64]`): `(ceil(bits · preset / 8) as u32).max(1)` as an exact `f64`. The
+/// preset factor is positive, so the ceiling's argument is finite and non-negative and
+/// the saturating cast plus floor is a clamp to `[1, u32::MAX]`.
+#[inline(always)]
+pub(crate) fn bytes_of_bits(bits: f64, preset_factor: f64) -> f64 {
+    ceil_non_negative((bits * preset_factor) / 8.0).clamp(1.0, u32::MAX as f64)
+}
+
 impl RdModel {
     /// The QP-dependent factor of the exponential rate law — the only transcendental in
     /// [`RdModel::block_bits`]. Exposed so encode loops can precompute a 52-entry lookup
@@ -123,22 +162,21 @@ impl RdModel {
             FrameType::Intra => {
                 for lane in 0..RATE_LANES {
                     let content_factor = 0.08 + 0.92 * complexity[lane].clamp(0.0, 1.0);
-                    bpp[lane] = (self.intra_bpp_at_ref * content_factor * qp_factor[lane])
-                        .max(self.min_bpp);
+                    bpp[lane] = (self.intra_bpp_at_ref * content_factor * qp_factor[lane]).max(self.min_bpp);
                 }
             }
             FrameType::Inter => {
                 for lane in 0..RATE_LANES {
                     let content_factor = 0.08 + 0.92 * complexity[lane].clamp(0.0, 1.0);
-                    let type_factor = self.inter_base_fraction
-                        + self.inter_motion_fraction * motion[lane].clamp(0.0, 1.0);
+                    let type_factor =
+                        self.inter_base_fraction + self.inter_motion_fraction * motion[lane].clamp(0.0, 1.0);
                     bpp[lane] = (self.intra_bpp_at_ref * content_factor * qp_factor[lane] * type_factor)
                         .max(self.min_bpp);
                 }
             }
         }
         for lane in 0..RATE_LANES {
-            out[lane] = (bpp[lane] * pixels[lane] as f64).ceil() as u64;
+            out[lane] = ceil_bits(bpp[lane] * pixels[lane] as f64) as u64;
         }
     }
 
@@ -290,6 +328,24 @@ mod tests {
                     motion[lane],
                     frame_type,
                 );
+                assert_eq!(out[lane], scalar, "lane {lane} {frame_type:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_rate_matches_scalar_at_the_ceiling_edges() {
+        // Products that are exact integers, straddle 2^52, or saturate the u64 cast; a
+        // zero-pixel block; and a NaN factor (clamped by `max(min_bpp)`).
+        let m = RdModel::default();
+        let qp_factor = [1.0 / 0.3, 1.0 / 0.3, 1e12, 4.5e15, 1e30, 7.0, f64::NAN, 0.0];
+        let pixels = [4096u64, 3, 4096, 1, 4096, 0, 4096, 64];
+        let (complexity, motion) = ([1.0; RATE_LANES], [0.5; RATE_LANES]);
+        for frame_type in [FrameType::Intra, FrameType::Inter] {
+            let mut out = [0u64; RATE_LANES];
+            m.block_bits_batch(&qp_factor, &pixels, &complexity, &motion, frame_type, &mut out);
+            for lane in 0..RATE_LANES {
+                let scalar = m.block_bits_with_factor(qp_factor[lane], pixels[lane], 1.0, 0.5, frame_type);
                 assert_eq!(out[lane], scalar, "lane {lane} {frame_type:?}");
             }
         }
