@@ -183,6 +183,9 @@ pub fn measure_hotpaths_matching(
     }
 
     // 3. CLIP correlation map over the 1080p patch grid (scratch API; zero allocations/iter).
+    // A cold map: every one of the 510 patches runs through the Eq. 1 lane kernel, so this
+    // entry gates the kernel itself. (The memoized `correlation_map_with` would time 510
+    // memo hits on this repeated frame and query.)
     if wants(only, "clip_correlation_map_1080p") {
         let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
         let frame = source.frame(0);
@@ -197,14 +200,15 @@ pub fn measure_hotpaths_matching(
             samples,
             target_sample_ms,
             || {
-                let map = model.correlation_map_with(black_box(&frame), &query, &mut scratch);
+                let map = model.correlation_map_unmemoized(black_box(&frame), &query, &mut scratch);
                 map.values().len()
             },
         ));
     }
 
     // 3b. Incremental CLIP correlation at the calibrated ~10 % dirty rate (two alternating
-    // frames of a moving 1080p scene; only motion-dirtied patches are recomputed).
+    // frames of a moving 1080p scene; only motion-dirtied patches are looked up again, and
+    // after the first toggle each of their inputs is a patch-memo hit).
     if wants(only, "clip_correlation_update_10pct_dirty") {
         let source = VideoSource::new(coherence_scene(), SourceConfig::fps30(1.0));
         let frame_a = source.frame(0);
@@ -299,9 +303,10 @@ pub fn measure_hotpaths_matching(
     }
 
     // 7. The data-parallel stage forms, on a pool of `pool_lanes` lanes. With one lane
-    // both delegate to the sequential paths, so these medians double as a check that the
-    // delegation adds nothing; with N lanes they measure the real speedup (the lane count
-    // is recorded alongside — see `BaselineFile`).
+    // they run the sequential kernels inline (the unmemoized CLIP map, the sequential
+    // encode), so these medians double as a check that the pool dispatch adds nothing;
+    // with N lanes they measure the real speedup (the lane count is recorded alongside —
+    // see `BaselineFile`).
     let pool = MiniPool::new(pool_lanes);
     if wants(only, "clip_correlation_map_1080p_par") {
         let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));

@@ -2,8 +2,9 @@
 //! a counting global allocator observes zero allocations across many post-warmup iterations
 //! of `Packetizer::packetize_into`, `ClipModel::correlation_map_with`,
 //! `QpAllocator::allocate_into` (Eq. 2), `Encoder::encode_into`, `Decoder::decode_into`,
-//! and the full `ChatSession::run_turn` pipeline (CLIP → QP → encode → packetize → decode →
-//! MLLM respond).
+//! the full `ChatSession::run_turn` pipeline (CLIP → QP → encode → packetize → decode →
+//! MLLM respond), and warm networked conversations — including ones that ask a new
+//! question every turn.
 //!
 //! This target sets `harness = false` (a plain `main`) so the process has exactly one
 //! thread of its own: libtest's harness threads allocate sporadically and would pollute
@@ -363,6 +364,36 @@ fn main() {
     assert_eq!(
         think_allocs, 0,
         "Conversation turns with think gaps allocated {think_allocs} times across {think_cycles} post-warmup cycles"
+    );
+
+    // --- a new question every turn: alternating two questions over one window re-derives
+    // the text query and re-encodes its embedding each turn, which empties the CLIP patch
+    // memo and refills it from scratch. The query is rebuilt inside its retained buffers
+    // and the memo keeps its capacity, so question changes are allocation-free too.
+    let other_question = Question::from_fact(&basketball_game(1).facts[1], QuestionFormat::MultipleChoice);
+    assert_ne!(other_question.text, question.text);
+    let alternating = |turn: usize| {
+        if turn.is_multiple_of(2) {
+            &question
+        } else {
+            &other_question
+        }
+    };
+    for turn in 0..4 {
+        let _ = conversation.run_turn(&turn_frames, alternating(turn));
+    }
+    let switch_turns = 10;
+    conversation.reserve_turns(switch_turns, turn_frames.len());
+    let before = allocations();
+    for turn in 0..switch_turns {
+        let report = conversation.run_turn_in_place(black_box(&turn_frames), alternating(turn));
+        black_box(report.answer.visual_tokens);
+    }
+    let switch_allocs = allocations() - before;
+    assert_eq!(
+        switch_allocs, 0,
+        "Conversation turns alternating two questions allocated {switch_allocs} times across \
+         {switch_turns} post-warmup turns"
     );
 
     // --- the lane-sharded ConversationChatServer: several long-lived conversations

@@ -41,7 +41,7 @@ use aivc_rtc::packetizer::{FrameAssembler, OutgoingFrame, Packetizer};
 use aivc_rtc::rtp::{PayloadKind, RtpPacket};
 use aivc_rtc::seq_ring::SeqRing;
 use aivc_scene::Frame;
-use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
+use aivc_semantics::{ClipModel, ClipScratch, PatchCounts, QueryBuilder, TextQuery};
 use aivc_sim::{SimDuration, SimTime, Simulation};
 use aivc_videocodec::{
     DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, Qp, QpMap, RatePlan,
@@ -260,7 +260,9 @@ pub(crate) struct NetCompute {
     decode_scratch: DecodeScratch,
     decoded: Vec<DecodedFrame>,
     mllm: MllmScratch,
-    cached_question: Option<Question>,
+    /// Derives [`NetCompute::query`] in place, and only when the question's words or
+    /// concepts change.
+    query_builder: QueryBuilder,
     query: TextQuery,
 }
 
@@ -283,27 +285,28 @@ impl NetCompute {
             decode_scratch: DecodeScratch::new(),
             decoded: Vec::new(),
             mllm: MllmScratch::new(),
-            cached_question: None,
+            query_builder: QueryBuilder::new(),
             query: TextQuery::from_concepts("", std::iter::empty::<String>()),
         }
     }
 
-    /// Re-derives the text query only when the question changes (same memoization as
-    /// [`crate::ChatSession`]). Baseline mode never reads the query, so it derives none.
+    /// Re-derives the text query only when the question's words or concepts change, in
+    /// place, so a conversation asking a new question each turn allocates nothing for it.
+    /// Baseline mode never reads the query, so it derives none.
     fn refresh_query(&mut self, question: &Question) {
-        if self.options.mode == StreamingMode::ContextAware && self.cached_question.as_ref() != Some(question)
-        {
-            self.query = TextQuery::from_words_and_concepts(
+        if self.options.mode == StreamingMode::ContextAware {
+            self.query_builder.refill(
+                &mut self.query,
                 &question.text,
                 self.clip_model.ontology(),
-                question.query_concepts.iter().cloned(),
+                &question.query_concepts,
             );
-            self.cached_question = Some(question.clone());
         }
     }
 
     /// Encodes `frame` into turn slot `slot` at the closest achievable size to
-    /// `budget_bits`, returning the number of rate probes the search ran.
+    /// `budget_bits`, returning the number of rate probes the search ran and the Eq. 1
+    /// map's patch-memo counts (zero in baseline mode).
     ///
     /// Context-aware mode searches a uniform QP offset on top of the frame's Eq. 2 map
     /// (coded bits are monotone decreasing in the offset — the same §3.2 bitrate-matching
@@ -312,7 +315,7 @@ impl NetCompute {
     /// encoder's rate control would pick. Either search returns exactly the level a
     /// bisection over the range picks, but starts from the previous capture's boundary,
     /// so a warm conversation probes ~3–4 levels per capture instead of ~7.
-    fn encode_slot_to_budget(&mut self, slot: usize, frame: &Frame, budget_bits: f64) -> u32 {
+    fn encode_slot_to_budget(&mut self, slot: usize, frame: &Frame, budget_bits: f64) -> (u32, PatchCounts) {
         if self.encode_scratches.len() <= slot {
             self.encode_scratches.resize_with(slot + 1, EncodeScratch::new);
         }
@@ -327,7 +330,7 @@ impl NetCompute {
         // turn before; see DESIGN.md §"Where the warm turn's microsecond goes"). Probes
         // are byte-exact with `predict_map_size` and therefore with a real encode
         // (test-asserted), so the chosen level is the one full encodes would pick.
-        let search = match self.options.mode {
+        let (search, patches) = match self.options.mode {
             StreamingMode::ContextAware => {
                 let importance = self
                     .clip_model
@@ -335,13 +338,17 @@ impl NetCompute {
                 self.allocator.allocate_into(importance, grid, &mut self.qp_map);
                 self.encoder
                     .prepare_rate_plan(frame, Some(&self.qp_map), &mut self.rate_plan);
-                self.encoder
-                    .search_plan_offset(&self.rate_plan, budget_bits, self.rate_hint)
+                let search = self
+                    .encoder
+                    .search_plan_offset(&self.rate_plan, budget_bits, self.rate_hint);
+                (search, self.clip.take_patch_counts())
             }
             StreamingMode::Baseline => {
                 self.encoder.prepare_rate_plan(frame, None, &mut self.rate_plan);
-                self.encoder
-                    .search_plan_uniform(&self.rate_plan, budget_bits, self.rate_hint)
+                let search = self
+                    .encoder
+                    .search_plan_uniform(&self.rate_plan, budget_bits, self.rate_hint);
+                (search, PatchCounts::default())
             }
         };
         self.rate_hint = search.boundary;
@@ -362,7 +369,7 @@ impl NetCompute {
             &mut self.encoded_slots[slot],
         );
         self.probe_map = probe_map;
-        search.probes
+        (search.probes, patches)
     }
 }
 
@@ -855,11 +862,13 @@ impl TurnMachine<'_> {
                 };
 
                 // --- Encode frame i to the per-frame budget the target implies.
-                let probes = self
-                    .compute
-                    .encode_slot_to_budget(local, &frames[local], budget_bits);
+                let (probes, patches) =
+                    self.compute
+                        .encode_slot_to_budget(local, &frames[local], budget_bits);
                 t.metrics.rate_searches.inc();
                 t.metrics.rate_probes.add(probes.into());
+                t.metrics.clip_patch_lookups.add(patches.lookups);
+                t.metrics.clip_patch_evals.add(patches.evals);
                 let encoded = &self.compute.encoded_slots[local];
                 let frame_out = OutgoingFrame {
                     frame_id: i as u64,

@@ -22,7 +22,7 @@ use aivc_rtc::packetizer::Packetizer;
 use aivc_rtc::rtp::RtpPacket;
 use aivc_rtc::{FecConfig, JitterBuffer, OutgoingFrame, SessionConfig, SessionStats, VideoSession};
 use aivc_scene::{Frame, VideoSource};
-use aivc_semantics::{ClipModel, ClipScratch, TextQuery};
+use aivc_semantics::{ClipModel, ClipScratch, QueryBuilder, TextQuery};
 use aivc_videocodec::{DecodeScratch, DecodedFrame, Decoder, EncodeScratch, EncodedFrame, Encoder, QpMap};
 use serde::{Deserialize, Serialize};
 
@@ -302,9 +302,9 @@ pub struct ChatSession {
     decode_scratch: DecodeScratch,
     decoded: Vec<DecodedFrame>,
     mllm: MllmScratch,
-    /// The question whose [`TextQuery`] is currently memoized (rebuilt only on change, so
-    /// multi-turn conversations about the same question stay allocation-free).
-    cached_question: Option<Question>,
+    /// Derives [`ChatSession::query`] in place, and only when the question's words or
+    /// concepts change, so multi-turn conversations stay allocation-free.
+    query_builder: QueryBuilder,
     query: TextQuery,
 }
 
@@ -327,7 +327,7 @@ impl ChatSession {
             decode_scratch: DecodeScratch::new(),
             decoded: Vec::new(),
             mllm: MllmScratch::new(),
-            cached_question: None,
+            query_builder: QueryBuilder::new(),
             query: TextQuery::from_concepts("", std::iter::empty::<String>()),
         }
     }
@@ -357,15 +357,12 @@ impl ChatSession {
     /// allocating convenience APIs (see the equivalence tests).
     pub fn run_turn(&mut self, frames: &[Frame], question: &Question) -> PipelineTurnReport {
         assert!(!frames.is_empty(), "a chat turn needs at least one frame");
-        // Re-derive the text query only when the question changes.
-        if self.cached_question.as_ref() != Some(question) {
-            self.query = TextQuery::from_words_and_concepts(
-                &question.text,
-                self.clip_model.ontology(),
-                question.query_concepts.iter().cloned(),
-            );
-            self.cached_question = Some(question.clone());
-        }
+        self.query_builder.refill(
+            &mut self.query,
+            &question.text,
+            self.clip_model.ontology(),
+            &question.query_concepts,
+        );
         let mut encoded_bytes = 0u64;
         let mut packets = 0usize;
         let mut quality_sum = 0.0f64;

@@ -99,6 +99,10 @@ pub struct SessionCounters {
     pub rate_searches: Counter,
     /// Coded-size probes those searches ran.
     pub rate_probes: Counter,
+    /// Patches the context-aware captures' Eq. 1 maps looked up in the patch memo.
+    pub clip_patch_lookups: Counter,
+    /// Patches of those lookups the Eq. 1 kernel evaluated (memo misses).
+    pub clip_patch_evals: Counter,
 }
 
 impl SessionCounters {
@@ -125,6 +129,8 @@ impl SessionCounters {
             pacer_rate_clamps: self.pacer_rate_clamps.get(),
             rate_searches: self.rate_searches.get(),
             rate_probes: self.rate_probes.get(),
+            clip_patch_lookups: self.clip_patch_lookups.get(),
+            clip_patch_evals: self.clip_patch_evals.get(),
         }
     }
 }
@@ -163,6 +169,10 @@ pub struct SessionSnapshot {
     pub rate_searches: u64,
     /// See [`SessionCounters::rate_probes`].
     pub rate_probes: u64,
+    /// See [`SessionCounters::clip_patch_lookups`].
+    pub clip_patch_lookups: u64,
+    /// See [`SessionCounters::clip_patch_evals`].
+    pub clip_patch_evals: u64,
 }
 
 impl SessionSnapshot {
@@ -183,6 +193,8 @@ impl SessionSnapshot {
         self.pacer_rate_clamps += other.pacer_rate_clamps;
         self.rate_searches += other.rate_searches;
         self.rate_probes += other.rate_probes;
+        self.clip_patch_lookups += other.clip_patch_lookups;
+        self.clip_patch_evals += other.clip_patch_evals;
     }
 }
 
@@ -192,7 +204,8 @@ impl fmt::Display for SessionSnapshot {
             f,
             "frames {}/{} | pkts {} sent, {} lost, {} rtx | fec {} | shed {} | \
              suppressed {} nacks, {} captures | missed {} deadlines | {} fallbacks | \
-             {} late drops | {} pacer clamps | {} rate probes over {} searches",
+             {} late drops | {} pacer clamps | {} rate probes over {} searches | \
+             {} of {} patch lookups evaluated",
             self.frames_delivered,
             self.frames_sent,
             self.packets_sent,
@@ -208,6 +221,8 @@ impl fmt::Display for SessionSnapshot {
             self.pacer_rate_clamps,
             self.rate_probes,
             self.rate_searches,
+            self.clip_patch_evals,
+            self.clip_patch_lookups,
         )
     }
 }
@@ -238,11 +253,17 @@ mod tests {
         let b = SessionCounters::new();
         b.frames_sent.add(7);
         b.pacer_rate_clamps.add(2);
+        a.clip_patch_lookups.add(510);
+        a.clip_patch_evals.add(43);
+        b.clip_patch_lookups.add(90);
+        b.clip_patch_evals.add(12);
         let mut total = a.snapshot();
         total.accumulate(&b.snapshot());
         assert_eq!(total.frames_sent, 10);
         assert_eq!(total.deadline_missed, 1);
         assert_eq!(total.pacer_rate_clamps, 2);
+        assert_eq!(total.clip_patch_lookups, 600);
+        assert_eq!(total.clip_patch_evals, 55);
     }
 
     #[test]
@@ -277,8 +298,11 @@ mod tests {
         let c = SessionCounters::new();
         c.frames_sent.add(8);
         c.frames_delivered.add(8);
+        c.clip_patch_lookups.add(123);
+        c.clip_patch_evals.add(17);
         let line = c.snapshot().to_string();
         assert!(line.contains("frames 8/8"), "{line}");
+        assert!(line.contains("17 of 123 patch lookups evaluated"), "{line}");
         assert!(!line.contains('\n'));
     }
 }

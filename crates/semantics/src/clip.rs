@@ -3,10 +3,15 @@
 //! [`ClipModel::correlation_map`] implements the paper's §3.2 procedure verbatim: partition
 //! the frame into N×N patches, embed each patch with the visual encoder, embed the user
 //! words with the language encoder, and output the cosine similarity ρ_mn per patch.
+//!
+//! The scratch paths evaluate each distinct patch input once: a patch's ρ is a pure
+//! function of its coverage list and background fraction once the query and the frame's
+//! concepts are fixed, so [`ClipScratch`] memoizes it (the patch memo, `memo.rs`).
 
 use crate::embedding::Embedding;
 use crate::importance::ImportanceMap;
-use crate::text::TextQuery;
+use crate::memo::{MemoKey, PatchCounts, PatchMemo};
+use crate::text::{QueryStamp, TextQuery};
 use crate::vision::{ConceptSpace, PatchEncoder};
 use aivc_par::MiniPool;
 use aivc_scene::grid_content::GridContent;
@@ -20,8 +25,8 @@ use std::sync::Arc;
 const PAR_CHUNKS_PER_LANE: usize = 4;
 
 /// Lane width of the Eq. 1 vector kernel: patches evaluated in lockstep by
-/// [`patch_rho_batch`]. Eight f64 lanes fill two AVX2 registers (four NEON ones) per
-/// step, and the lane-transposed tile (`dim × 8` values — 4 kB at `dim = 64`) stays
+/// [`PatchKernel::rho_lanes`]. Eight f64 lanes fill two AVX2 registers (four NEON ones)
+/// per step, and the lane-transposed tile (`dim × 8` values — 4 kB at `dim = 64`) stays
 /// comfortably inside L1 alongside the query embedding.
 const RHO_LANES: usize = 8;
 
@@ -73,9 +78,9 @@ impl ClipConfig {
 ///
 /// One scratch per streaming turn (or per thread) removes every per-frame heap allocation
 /// from the correlation hot path: the output map, the per-patch region descriptor, the
-/// concept-pooling accumulators and the per-frame object→concept index lists all live here
-/// and are reused, and the text-query embedding is memoized so a multi-frame turn encodes
-/// the user's words exactly once.
+/// concept-pooling accumulators, the per-frame object→concept index lists and the patch
+/// memo all live here and are reused, and the text-query embedding is memoized so a
+/// multi-frame turn encodes the user's words exactly once.
 #[derive(Debug, Clone)]
 pub struct ClipScratch {
     /// Per-patch region descriptor (filled by [`Frame::region_content_into`]) — used by the
@@ -91,23 +96,22 @@ pub struct ClipScratch {
     flat: Vec<(u32, f64)>,
     /// Resolved `(concept_index, weight)` list of the frame's background concepts.
     background_flat: Vec<(u32, f64)>,
-    /// Embeddings of out-of-ontology concepts encountered in the current frame; indices
-    /// `>= ConceptSpace::len()` in the flat lists point here (offset by the table length).
+    /// Embeddings of out-of-ontology concepts encountered in the current frame or query;
+    /// indices `>= ConceptSpace::len()` in the flat lists point here (offset by the table
+    /// length).
     extra: Vec<(Concept, Embedding)>,
-    /// Concept-pooling accumulator.
-    accumulator: Embedding,
-    /// Unit-norm form of the accumulator.
-    normalized: Embedding,
-    /// Per-lane concept-pooling accumulators of the vector kernel: lane `l` owns the
-    /// contiguous slice `[l·dim, (l+1)·dim)`, so phase A writes stay unit-stride.
-    lane_acc: Vec<f64>,
-    /// Lane-transposed (dimension-major SoA) copy of the accumulators: dimension `d`'s
-    /// values for all [`RHO_LANES`] lanes sit side by side at `[d·LANES, (d+1)·LANES)`,
-    /// the layout phase B's lockstep reductions walk with unit stride.
-    tile: Vec<f64>,
+    /// The Eq. 1 kernel's working buffers.
+    lane: ClipLaneScratch,
+    /// Exact patch-input → ρ memo shared by the full and incremental paths.
+    memo: PatchMemo,
+    /// `(patch, memo entry)` pairs of the current call whose entry was still pending when
+    /// the patch was looked up; their values are written once the entries are evaluated.
+    deferred: Vec<(u32, u32)>,
     /// The query whose embedding is currently memoized.
-    cached_query: Option<TextQuery>,
-    /// Memoized text embedding of [`ClipScratch::cached_query`].
+    query_stamp: QueryStamp,
+    /// Bumped every time the query embedding is re-encoded; part of the memo's key.
+    query_epoch: u64,
+    /// Memoized text embedding of the stamped query.
     query_embedding: Embedding,
     /// Memoized [`Embedding::norm`] of [`ClipScratch::query_embedding`] (same f64 value
     /// the scalar path recomputes per patch inside `cosine`).
@@ -141,11 +145,11 @@ impl ClipScratch {
             flat: Vec::new(),
             background_flat: Vec::new(),
             extra: Vec::new(),
-            accumulator: Embedding::zeros(0),
-            normalized: Embedding::zeros(0),
-            lane_acc: Vec::new(),
-            tile: Vec::new(),
-            cached_query: None,
+            lane: ClipLaneScratch::new(),
+            memo: PatchMemo::default(),
+            deferred: Vec::new(),
+            query_stamp: QueryStamp::default(),
+            query_epoch: 0,
             query_embedding: Embedding::zeros(0),
             query_norm: 0.0,
             map: ImportanceMap::empty(),
@@ -162,18 +166,26 @@ impl ClipScratch {
         std::mem::replace(&mut self.map, ImportanceMap::empty())
     }
 
+    /// Patches the memoized paths looked up, and how many of those they evaluated, since
+    /// the last call; resets both counts.
+    pub fn take_patch_counts(&mut self) -> PatchCounts {
+        self.memo.take_counts()
+    }
+
     /// Records which frame the scratch's map now describes, enabling later incremental
     /// updates against it.
-    fn record_prev(&mut self, frame: &Frame) {
+    fn record_prev(&mut self, frame: &Frame, fingerprint: u64) {
         self.prev_placements.clear();
         self.prev_placements
             .extend(frame.placements.iter().map(|p| (p.object_id, p.region)));
-        self.prev_fingerprint = frame_fingerprint(frame);
+        self.prev_fingerprint = fingerprint;
         self.prev_valid = true;
     }
 
     /// Ensures the memoized text embedding matches `query` (and the model's embedding
-    /// dimension), re-encoding only on change.
+    /// dimension), re-encoding only on change. Re-encoding reuses the scratch's buffers:
+    /// the embedding pools exactly as [`ClipModel::encode_text`] does (same terms, same
+    /// order), reading out-of-ontology directions from [`ClipScratch::extra`].
     ///
     /// A scratch is intended to be reused with one model at a time; switching models
     /// mid-scratch is detected by dimension (which also guards the `extra` cache) and falls
@@ -181,13 +193,41 @@ impl ClipScratch {
     /// models with different ontologies still require separate scratches.
     fn memoize_query(&mut self, model: &ClipModel, query: &TextQuery) {
         if self.query_embedding.dim() != model.config.dim {
-            self.cached_query = None;
+            self.query_stamp.invalidate();
             self.extra.clear();
         }
-        if self.cached_query.as_ref() != Some(query) {
-            self.query_embedding = model.encode_text(query);
-            self.query_norm = self.query_embedding.norm();
-            self.cached_query = Some(query.clone());
+        if self.query_stamp.matches_query(query) {
+            return;
+        }
+        let table_len = model.space.len() as u32;
+        self.lane.accumulator.reset_zero(model.config.dim);
+        for (concept, weight) in &query.concepts {
+            if *weight <= 0.0 {
+                continue;
+            }
+            let idx = self.resolve_concept(model, concept);
+            let embedding = if idx < table_len {
+                model.space.embedding_at(idx)
+            } else {
+                &self.extra[(idx - table_len) as usize].1
+            };
+            self.lane.accumulator.add_scaled(embedding, *weight);
+        }
+        self.query_embedding
+            .assign_normalized_from(&self.lane.accumulator);
+        self.query_norm = self.query_embedding.norm();
+        self.query_stamp.record_query(query);
+        self.query_epoch += 1;
+    }
+
+    /// The memo key for the current query embedding, a frame with `fingerprint`, and
+    /// `model`.
+    fn memo_key(&self, model: &ClipModel, fingerprint: u64) -> MemoKey {
+        MemoKey {
+            query_epoch: self.query_epoch,
+            fingerprint,
+            dim: model.config.dim,
+            bias_bits: model.config.similarity_bias.to_bits(),
         }
     }
 
@@ -233,18 +273,22 @@ impl ClipScratch {
     }
 }
 
-/// Per-lane working state of the data-parallel correlation path: exactly the buffers one
-/// evaluation of [`patch_rho`] mutates. Everything else a patch needs (the flat concept
-/// lists, the memoized query embedding) is shared read-only across lanes.
+/// The working buffers one evaluation of the Eq. 1 kernel mutates: the scalar path's
+/// accumulators and the vector kernel's lane block and tile. Everything else a patch
+/// needs is read-only ([`PatchKernel`]), so the data-parallel path gives each pool lane
+/// one of these and shares the rest.
 #[derive(Debug, Clone)]
 struct ClipLaneScratch {
-    /// Concept-pooling accumulator for this lane (scalar-tail patches).
+    /// Concept-pooling accumulator (scalar-tail patches; also the query encoder's).
     accumulator: Embedding,
-    /// Unit-norm form of the accumulator for this lane (scalar-tail patches).
+    /// Unit-norm form of the accumulator (scalar-tail patches).
     normalized: Embedding,
-    /// This pool lane's private [`ClipScratch::lane_acc`] for the vector kernel.
+    /// Per-lane concept-pooling accumulators of the vector kernel: lane `l` owns the
+    /// contiguous slice `[l·dim, (l+1)·dim)`, so phase A writes stay unit-stride.
     lane_acc: Vec<f64>,
-    /// This pool lane's private [`ClipScratch::tile`] for the vector kernel.
+    /// Lane-transposed (dimension-major SoA) copy of the accumulators: dimension `d`'s
+    /// values for all [`RHO_LANES`] lanes sit side by side at `[d·LANES, (d+1)·LANES)`,
+    /// the layout phase B's lockstep reductions walk with unit stride.
     tile: Vec<f64>,
 }
 
@@ -266,7 +310,8 @@ impl ClipLaneScratch {
 /// sequential path.
 #[derive(Debug, Clone, Default)]
 pub struct ClipParScratch {
-    /// The sequential scratch; also serves `pool_size = 1` delegation unchanged.
+    /// The sequential scratch: the query memo, the shared per-frame concept lists and the
+    /// output map.
     seq: ClipScratch,
     /// One private working set per pool lane.
     lanes: Vec<ClipLaneScratch>,
@@ -281,6 +326,12 @@ impl ClipParScratch {
     /// Moves the most recent result out of the scratch.
     pub fn take_map(&mut self) -> ImportanceMap {
         self.seq.take_map()
+    }
+
+    /// The sequential scratch inside, for the sequential forms: it shares the query memo,
+    /// the output map and the coherence state with the data-parallel path.
+    pub fn sequential(&mut self) -> &mut ClipScratch {
+        &mut self.seq
     }
 }
 
@@ -352,92 +403,81 @@ impl ClipModel {
     /// The returned map lives inside `scratch` and is valid until the next call. After the
     /// first call with a given frame/query shape, the routine performs no heap allocation:
     /// the text embedding is memoized per [`TextQuery`], the frame's object-concept lists
-    /// are resolved once per frame into index-keyed flat buffers, and every per-patch
-    /// accumulator is reused. Output is bit-identical to the naive per-patch procedure
-    /// (see the equivalence tests).
+    /// are resolved once per frame into index-keyed flat buffers, every per-patch
+    /// accumulator is reused, and each distinct patch input is evaluated once (the patch
+    /// memo). Output is bit-identical to the naive per-patch procedure (see the
+    /// equivalence tests).
     pub fn correlation_map_with<'s>(
         &self,
         frame: &Frame,
         query: &TextQuery,
         scratch: &'s mut ClipScratch,
     ) -> &'s ImportanceMap {
+        self.full_map(frame, query, frame_fingerprint(frame), scratch, true)
+    }
+
+    /// [`ClipModel::correlation_map_with`] without the patch memo: every patch runs through
+    /// the Eq. 1 lane kernel. Kept as the cold-map form the kernel's benchmark times and as
+    /// a second equivalence reference; serving paths use the memoized forms.
+    #[doc(hidden)]
+    pub fn correlation_map_unmemoized<'s>(
+        &self,
+        frame: &Frame,
+        query: &TextQuery,
+        scratch: &'s mut ClipScratch,
+    ) -> &'s ImportanceMap {
+        self.full_map(frame, query, frame_fingerprint(frame), scratch, false)
+    }
+
+    /// The full (non-incremental) map: rasterize the patch grid once, then evaluate every
+    /// patch — through the memo when `memoized`, straight through the kernel otherwise.
+    fn full_map<'s>(
+        &self,
+        frame: &Frame,
+        query: &TextQuery,
+        fingerprint: u64,
+        scratch: &'s mut ClipScratch,
+        memoized: bool,
+    ) -> &'s ImportanceMap {
         let dims = GridDims::for_frame(frame.width, frame.height, self.config.patch_size);
         scratch.memoize_query(self, query);
-        scratch.map.begin_refill(dims, frame.width, frame.height);
         if scratch.query_embedding.is_zero() {
-            for _ in 0..dims.len() {
-                scratch.map.push_value(0.0);
-            }
-            scratch.map.finish_refill();
-            scratch.record_prev(frame);
-            return &scratch.map;
-        }
-        scratch.prepare_frame(self, frame);
-        scratch.grid.fill(frame, self.config.patch_size);
-        let bias = self.config.similarity_bias;
-        let background_weight = PatchEncoder::new(&self.space).background_weight();
-        let query_norm = scratch.query_norm;
-        let ClipScratch {
-            grid,
-            object_entries,
-            flat,
-            background_flat,
-            extra,
-            accumulator,
-            normalized,
-            lane_acc,
-            tile,
-            query_embedding,
-            map,
-            ..
-        } = scratch;
-        let grid = &*grid;
-        let total = dims.len();
-        let mut rho = [0.0f64; RHO_LANES];
-        let mut idx = 0usize;
-        while idx + RHO_LANES <= total {
-            patch_rho_batch_grid(
-                self,
+            // refill_values_mut zero-fills, which is exactly the empty-query map.
+            let _ = scratch.map.refill_values_mut(dims, frame.width, frame.height);
+        } else {
+            scratch.prepare_frame(self, frame);
+            scratch.grid.fill(frame, self.config.patch_size);
+            let key = scratch.memo_key(self, fingerprint);
+            let ClipScratch {
                 grid,
-                idx,
-                bias,
-                background_weight,
-                object_entries,
-                flat,
-                background_flat,
-                extra,
-                lane_acc,
-                tile,
-                query_embedding,
-                query_norm,
-                &mut rho,
-            );
-            for &value in &rho {
-                map.push_value(value);
-            }
-            idx += RHO_LANES;
-        }
-        // Scalar tail: fewer than RHO_LANES patches remain.
-        while idx < total {
-            let calibrated = patch_rho_cell(
+                lane,
+                memo,
+                deferred,
+                map,
+                ..
+            } = scratch;
+            let kernel = PatchKernel::new(
                 self,
-                grid,
-                idx,
-                bias,
-                background_weight,
-                object_entries,
-                flat,
-                background_flat,
-                extra,
-                accumulator,
-                normalized,
-                query_embedding,
+                &scratch.object_entries,
+                &scratch.flat,
+                &scratch.background_flat,
+                &scratch.extra,
+                &scratch.query_embedding,
+                scratch.query_norm,
             );
-            map.push_value(calibrated);
-            idx += 1;
+            let values = map.refill_values_mut(dims, frame.width, frame.height);
+            if memoized {
+                let mut pass = MemoPass::begin(memo, lane, deferred, key, dims.len(), dims.len());
+                for (idx, &background) in grid.background_fraction().iter().enumerate() {
+                    pass.step(&kernel, values, idx, grid.coverage(idx), background);
+                }
+                pass.finish(&kernel, values);
+            } else {
+                kernel.rho_range(grid, 0, values, lane);
+            }
         }
         scratch.map.finish_refill();
-        scratch.record_prev(frame);
+        scratch.record_prev(frame, fingerprint);
         &scratch.map
     }
 
@@ -447,11 +487,12 @@ impl ClipModel {
     /// own private accumulators.
     ///
     /// Output is **bit-identical** to the sequential path for any pool size: every patch
-    /// runs the exact same [`patch_rho`] procedure against the same shared per-frame
-    /// concept lists, and patch values never depend on one another (see the equivalence
-    /// tests and `tests/model_properties.rs`). With a one-lane pool this delegates to
-    /// [`ClipModel::correlation_map_with`] — the sequential path stays the default.
-    /// Post-warmup calls perform no heap allocation (lane scratches are created once).
+    /// runs the exact same kernel against the same shared per-frame concept lists, and
+    /// patch values never depend on one another (see the equivalence tests and
+    /// `tests/model_properties.rs`). Every patch is evaluated — the patch memo belongs to
+    /// the sequential forms, and with a one-lane pool this is
+    /// [`ClipModel::correlation_map_unmemoized`] run inline. Post-warmup calls perform no
+    /// heap allocation (lane scratches are created once).
     pub fn correlation_map_par<'s>(
         &self,
         frame: &Frame,
@@ -459,94 +500,37 @@ impl ClipModel {
         pool: &MiniPool,
         scratch: &'s mut ClipParScratch,
     ) -> &'s ImportanceMap {
-        if pool.lanes() == 1 {
-            return self.correlation_map_with(frame, query, &mut scratch.seq);
-        }
         let dims = GridDims::for_frame(frame.width, frame.height, self.config.patch_size);
-        scratch.seq.memoize_query(self, query);
-        if scratch.seq.query_embedding.is_zero() {
+        let fingerprint = frame_fingerprint(frame);
+        let seq = &mut scratch.seq;
+        seq.memoize_query(self, query);
+        if seq.query_embedding.is_zero() {
             // refill_values_mut zero-fills, which is exactly the empty-query map.
-            let _ = scratch.seq.map.refill_values_mut(dims, frame.width, frame.height);
-            scratch.seq.map.finish_refill();
-            scratch.seq.record_prev(frame);
-            return &scratch.seq.map;
-        }
-        scratch.seq.prepare_frame(self, frame);
-        scratch.seq.grid.fill(frame, self.config.patch_size);
-        while scratch.lanes.len() < pool.lanes() {
-            scratch.lanes.push(ClipLaneScratch::new());
-        }
-        let bias = self.config.similarity_bias;
-        let background_weight = PatchEncoder::new(&self.space).background_weight();
-        let query_norm = scratch.seq.query_norm;
-        let ClipParScratch { seq, lanes } = scratch;
-        let seq_ref = &mut *seq;
-        let ClipScratch {
-            grid,
-            object_entries,
-            flat,
-            background_flat,
-            extra,
-            query_embedding,
-            map,
-            ..
-        } = seq_ref;
-        // Shared read-only views for the lanes.
-        let grid: &GridContent = grid;
-        let object_entries: &[(u32, u32, u32)] = object_entries;
-        let flat: &[(u32, f64)] = flat;
-        let background_flat: &[(u32, f64)] = background_flat;
-        let extra: &[(Concept, Embedding)] = extra;
-        let query_embedding: &Embedding = query_embedding;
-        let values = map.refill_values_mut(dims, frame.width, frame.height);
-        let chunks = (pool.lanes() * PAR_CHUNKS_PER_LANE).min(values.len());
-        pool.for_each_chunk(values, chunks, lanes, |ctx, part, lane| {
-            let mut rho = [0.0f64; RHO_LANES];
-            let mut offset = 0usize;
-            while offset + RHO_LANES <= part.len() {
-                patch_rho_batch_grid(
-                    self,
-                    grid,
-                    ctx.start + offset,
-                    bias,
-                    background_weight,
-                    object_entries,
-                    flat,
-                    background_flat,
-                    extra,
-                    &mut lane.lane_acc,
-                    &mut lane.tile,
-                    query_embedding,
-                    query_norm,
-                    &mut rho,
-                );
-                part[offset..offset + RHO_LANES].copy_from_slice(&rho);
-                offset += RHO_LANES;
+            let _ = seq.map.refill_values_mut(dims, frame.width, frame.height);
+        } else {
+            seq.prepare_frame(self, frame);
+            seq.grid.fill(frame, self.config.patch_size);
+            while scratch.lanes.len() < pool.lanes() {
+                scratch.lanes.push(ClipLaneScratch::new());
             }
-            // Scalar tail of this chunk.
-            for (tail_offset, value) in part.iter_mut().enumerate().skip(offset) {
-                let idx = ctx.start + tail_offset;
-                // Same ρ-range invariant `ImportanceMap::push_value` asserts on the
-                // sequential path; direct slice writes must not lose it.
-                *value = patch_rho_cell(
-                    self,
-                    grid,
-                    idx,
-                    bias,
-                    background_weight,
-                    object_entries,
-                    flat,
-                    background_flat,
-                    extra,
-                    &mut lane.accumulator,
-                    &mut lane.normalized,
-                    query_embedding,
-                );
-                debug_assert!((-1.0..=1.0).contains(value), "rho out of [-1, 1]");
-            }
-        });
+            let kernel = PatchKernel::new(
+                self,
+                &seq.object_entries,
+                &seq.flat,
+                &seq.background_flat,
+                &seq.extra,
+                &seq.query_embedding,
+                seq.query_norm,
+            );
+            let grid = &seq.grid;
+            let values = seq.map.refill_values_mut(dims, frame.width, frame.height);
+            let chunks = (pool.lanes() * PAR_CHUNKS_PER_LANE).min(values.len());
+            pool.for_each_chunk(values, chunks, &mut scratch.lanes, |ctx, part, lane| {
+                kernel.rho_range(grid, ctx.start, part, lane);
+            });
+        }
         seq.map.finish_refill();
-        seq.record_prev(frame);
+        seq.record_prev(frame, fingerprint);
         &seq.map
     }
 
@@ -568,8 +552,9 @@ impl ClipModel {
         scratch: &'s mut ClipScratch,
     ) -> &'s ImportanceMap {
         let dims = GridDims::for_frame(frame.width, frame.height, self.config.patch_size);
+        let fingerprint = frame_fingerprint(frame);
         if !self.can_update_incrementally(frame, query, scratch, dims)
-            || scratch.prev_fingerprint != frame_fingerprint(frame)
+            || scratch.prev_fingerprint != fingerprint
             || scratch.prev_placements.len() != frame.placements.len()
             || !scratch
                 .prev_placements
@@ -577,11 +562,11 @@ impl ClipModel {
                 .zip(&frame.placements)
                 .all(|((id, _), p)| *id == p.object_id)
         {
-            return self.correlation_map_with(frame, query, scratch);
+            return self.full_map(frame, query, fingerprint, scratch, true);
         }
         if scratch.query_embedding.is_zero() {
             // The all-zero map is frame-independent; only the coherence state moves on.
-            scratch.record_prev(frame);
+            scratch.record_prev(frame, fingerprint);
             return &scratch.map;
         }
         // Dirty = patches overlapping the old or new rect of any object that moved.
@@ -600,9 +585,9 @@ impl ClipModel {
         dirty.sort_unstable();
         dirty.dedup();
         if !scratch.dirty.is_empty() {
-            self.recompute_dirty_patches(frame, scratch);
+            self.recompute_dirty_patches(frame, fingerprint, scratch);
         }
-        scratch.record_prev(frame);
+        scratch.record_prev(frame, fingerprint);
         &scratch.map
     }
 
@@ -622,11 +607,12 @@ impl ClipModel {
         scratch: &'s mut ClipScratch,
     ) -> &'s ImportanceMap {
         let dims = GridDims::for_frame(frame.width, frame.height, self.config.patch_size);
+        let fingerprint = frame_fingerprint(frame);
         if !self.can_update_incrementally(frame, query, scratch, dims) {
-            return self.correlation_map_with(frame, query, scratch);
+            return self.full_map(frame, query, fingerprint, scratch, true);
         }
         if scratch.query_embedding.is_zero() {
-            scratch.record_prev(frame);
+            scratch.record_prev(frame, fingerprint);
             return &scratch.map;
         }
         scratch.dirty.clear();
@@ -639,9 +625,9 @@ impl ClipModel {
         scratch.dirty.sort_unstable();
         scratch.dirty.dedup();
         if !scratch.dirty.is_empty() {
-            self.recompute_dirty_patches(frame, scratch);
+            self.recompute_dirty_patches(frame, fingerprint, scratch);
         }
-        scratch.record_prev(frame);
+        scratch.record_prev(frame, fingerprint);
         &scratch.map
     }
 
@@ -660,84 +646,48 @@ impl ClipModel {
             && scratch.map.width() == frame.width
             && scratch.map.height() == frame.height
             && scratch.query_embedding.dim() == self.config.dim
-            && scratch.cached_query.as_ref() == Some(query)
+            && scratch.query_stamp.matches_query(query)
     }
 
-    /// Recomputes the patches listed in `scratch.dirty` in place, through exactly the same
-    /// per-patch procedure as the full path.
-    fn recompute_dirty_patches(&self, frame: &Frame, scratch: &mut ClipScratch) {
+    /// Recomputes the patches listed in `scratch.dirty` in place, through the patch memo
+    /// and exactly the same kernel as the full path.
+    fn recompute_dirty_patches(&self, frame: &Frame, fingerprint: u64, scratch: &mut ClipScratch) {
         scratch.prepare_frame(self, frame);
         let dims = scratch.map.dims();
-        let bias = self.config.similarity_bias;
-        let background_weight = PatchEncoder::new(&self.space).background_weight();
-        let query_norm = scratch.query_norm;
+        let key = scratch.memo_key(self, fingerprint);
         let ClipScratch {
             content,
-            object_entries,
-            flat,
-            background_flat,
-            extra,
-            accumulator,
-            normalized,
-            lane_acc,
-            tile,
-            query_embedding,
+            lane,
+            memo,
+            deferred,
             map,
             dirty,
             ..
         } = scratch;
-        let mut rects = [Rect::new(0, 0, 0, 0); RHO_LANES];
-        let mut rho = [0.0f64; RHO_LANES];
-        for group in dirty.chunks(RHO_LANES) {
-            if group.len() == RHO_LANES {
-                for (rect, &idx) in rects.iter_mut().zip(group) {
-                    let (row, col) = dims.position(idx as usize);
-                    *rect = dims.cell_rect(row, col, frame.width, frame.height);
-                }
-                patch_rho_batch(
-                    self,
-                    frame,
-                    &rects,
-                    bias,
-                    background_weight,
-                    content,
-                    object_entries,
-                    flat,
-                    background_flat,
-                    extra,
-                    lane_acc,
-                    tile,
-                    query_embedding,
-                    query_norm,
-                    &mut rho,
-                );
-                for (&idx, &value) in group.iter().zip(&rho) {
-                    map.set_value(idx as usize, value);
-                }
-            } else {
-                // Scalar tail: fewer than RHO_LANES dirty patches remain.
-                for &idx in group {
-                    let (row, col) = dims.position(idx as usize);
-                    let rect = dims.cell_rect(row, col, frame.width, frame.height);
-                    let calibrated = patch_rho(
-                        self,
-                        frame,
-                        &rect,
-                        bias,
-                        background_weight,
-                        content,
-                        object_entries,
-                        flat,
-                        background_flat,
-                        extra,
-                        accumulator,
-                        normalized,
-                        query_embedding,
-                    );
-                    map.set_value(idx as usize, calibrated);
-                }
-            }
+        let kernel = PatchKernel::new(
+            self,
+            &scratch.object_entries,
+            &scratch.flat,
+            &scratch.background_flat,
+            &scratch.extra,
+            &scratch.query_embedding,
+            scratch.query_norm,
+        );
+        let mut pass = MemoPass::begin(memo, lane, deferred, key, dirty.len(), dims.len());
+        let values = map.values_mut();
+        for &idx in dirty.iter() {
+            let (row, col) = dims.position(idx as usize);
+            let rect = dims.cell_rect(row, col, frame.width, frame.height);
+            frame.region_content_into(&rect, content);
+            pass.step(
+                &kernel,
+                values,
+                idx as usize,
+                &content.object_coverage,
+                content.background_fraction,
+            );
         }
+        pass.finish(&kernel, values);
     }
 
     /// The original, allocation-per-patch implementation of [`ClipModel::correlation_map`],
@@ -773,234 +723,234 @@ impl ClipModel {
     }
 }
 
-/// Phase A of every ρ path: pools one patch's concepts given its coverage list and
-/// background fraction, invoking `add(embedding, weight)` in exactly the order
-/// `PatchEncoder::embed_patch` + `ConceptSpace::pool` visit them — objects in coverage
-/// order, then background concepts — so every caller accumulates the identical f64
-/// sequence regardless of where the coverage came from (a `region_content_into` call or
-/// the [`GridContent`] raster, which produce equal lists by construction).
-#[allow(clippy::too_many_arguments)]
-fn pool_patch_concepts(
-    model: &ClipModel,
-    coverage: &[(u32, f64)],
-    background_fraction: f64,
+/// Everything one Eq. 1 evaluation reads besides the patch's own input (its coverage list
+/// and background fraction): the model, the frame's resolved concept lists and the
+/// memoized query. Fixing these makes ρ a pure function of the patch input — the fact the
+/// patch memo rests on.
+struct PatchKernel<'a> {
+    model: &'a ClipModel,
     background_weight: f64,
-    object_entries: &[(u32, u32, u32)],
-    flat: &[(u32, f64)],
-    background_flat: &[(u32, f64)],
-    extra: &[(Concept, Embedding)],
-    mut add: impl FnMut(&Embedding, f64),
-) {
-    let table_len = model.space.len() as u32;
-    for &(object_id, object_coverage) in coverage {
-        let Some(&(_, start, end)) = object_entries.iter().find(|(id, _, _)| *id == object_id) else {
-            continue;
+    object_entries: &'a [(u32, u32, u32)],
+    flat: &'a [(u32, f64)],
+    background_flat: &'a [(u32, f64)],
+    extra: &'a [(Concept, Embedding)],
+    query_embedding: &'a Embedding,
+    query_norm: f64,
+}
+
+impl<'a> PatchKernel<'a> {
+    fn new(
+        model: &'a ClipModel,
+        object_entries: &'a [(u32, u32, u32)],
+        flat: &'a [(u32, f64)],
+        background_flat: &'a [(u32, f64)],
+        extra: &'a [(Concept, Embedding)],
+        query_embedding: &'a Embedding,
+        query_norm: f64,
+    ) -> Self {
+        Self {
+            model,
+            background_weight: PatchEncoder::new(&model.space).background_weight(),
+            object_entries,
+            flat,
+            background_flat,
+            extra,
+            query_embedding,
+            query_norm,
+        }
+    }
+
+    /// Phase A of every ρ path: pools one patch's concepts given its coverage list and
+    /// background fraction, invoking `add(embedding, weight)` in exactly the order
+    /// `PatchEncoder::embed_patch` + `ConceptSpace::pool` visit them — objects in coverage
+    /// order, then background concepts — so every caller accumulates the identical f64
+    /// sequence regardless of where the coverage came from (a `region_content_into` call,
+    /// the [`GridContent`] raster, or the patch memo, which hold equal lists).
+    fn pool(&self, coverage: &[(u32, f64)], background_fraction: f64, mut add: impl FnMut(&Embedding, f64)) {
+        let table_len = self.model.space.len() as u32;
+        let embedding = |concept_idx: u32| {
+            if concept_idx < table_len {
+                self.model.space.embedding_at(concept_idx)
+            } else {
+                &self.extra[(concept_idx - table_len) as usize].1
+            }
         };
-        for &(concept_idx, concept_weight) in &flat[start as usize..end as usize] {
-            let w = object_coverage * concept_weight;
+        for &(object_id, object_coverage) in coverage {
+            let Some(&(_, start, end)) = self.object_entries.iter().find(|(id, _, _)| *id == object_id)
+            else {
+                continue;
+            };
+            for &(concept_idx, concept_weight) in &self.flat[start as usize..end as usize] {
+                let w = object_coverage * concept_weight;
+                if w <= 0.0 {
+                    continue;
+                }
+                add(embedding(concept_idx), w);
+            }
+        }
+        for &(concept_idx, base_weight) in self.background_flat {
+            let w = background_fraction * base_weight * self.background_weight;
             if w <= 0.0 {
                 continue;
             }
-            let embedding = if concept_idx < table_len {
-                model.space.embedding_at(concept_idx)
-            } else {
-                &extra[(concept_idx - table_len) as usize].1
-            };
-            add(embedding, w);
+            add(embedding(concept_idx), w);
         }
     }
-    for &(concept_idx, base_weight) in background_flat {
-        let w = background_fraction * base_weight * background_weight;
-        if w <= 0.0 {
-            continue;
-        }
-        let embedding = if concept_idx < table_len {
-            model.space.embedding_at(concept_idx)
-        } else {
-            &extra[(concept_idx - table_len) as usize].1
-        };
-        add(embedding, w);
+
+    /// One patch of Eq. 1 through the index-keyed table and reused buffers: pools the
+    /// patch's concepts exactly as `PatchEncoder::embed_patch` + `ConceptSpace::pool` do —
+    /// same products, same accumulation order — then applies the contrastive calibration.
+    fn rho_one(&self, coverage: &[(u32, f64)], background_fraction: f64, lane: &mut ClipLaneScratch) -> f64 {
+        let ClipLaneScratch {
+            accumulator,
+            normalized,
+            ..
+        } = lane;
+        accumulator.reset_zero(self.model.config.dim);
+        self.pool(coverage, background_fraction, |embedding, w| {
+            accumulator.add_scaled(embedding, w)
+        });
+        normalized.assign_normalized_from(accumulator);
+        let raw = normalized.cosine(self.query_embedding);
+        // Contrastive calibration: subtract the unrelated-pair baseline and rescale so the
+        // reported correlation still spans [-1, 1].
+        let bias = self.model.config.similarity_bias;
+        ((raw - bias) / (1.0 - bias)).clamp(-1.0, 1.0)
     }
-}
 
-/// One patch of Eq. 1 through the index-keyed table and reused buffers: pools the patch's
-/// concepts exactly as `PatchEncoder::embed_patch` + `ConceptSpace::pool` do — same
-/// products, same accumulation order — then applies the contrastive calibration. Used by
-/// the incremental paths (which touch few patches per frame, so a per-patch
-/// `region_content_into` beats rasterizing the whole grid).
-#[allow(clippy::too_many_arguments)]
-fn patch_rho(
-    model: &ClipModel,
-    frame: &Frame,
-    rect: &Rect,
-    bias: f64,
-    background_weight: f64,
-    content: &mut RegionContent,
-    object_entries: &[(u32, u32, u32)],
-    flat: &[(u32, f64)],
-    background_flat: &[(u32, f64)],
-    extra: &[(Concept, Embedding)],
-    accumulator: &mut Embedding,
-    normalized: &mut Embedding,
-    query_embedding: &Embedding,
-) -> f64 {
-    frame.region_content_into(rect, content);
-    accumulator.reset_zero(model.config.dim);
-    pool_patch_concepts(
-        model,
-        &content.object_coverage,
-        content.background_fraction,
-        background_weight,
-        object_entries,
-        flat,
-        background_flat,
-        extra,
-        |embedding, w| accumulator.add_scaled(embedding, w),
-    );
-    normalized.assign_normalized_from(accumulator);
-    let raw = normalized.cosine(query_embedding);
-    // Contrastive calibration: subtract the unrelated-pair baseline and rescale so the
-    // reported correlation still spans [-1, 1].
-    ((raw - bias) / (1.0 - bias)).clamp(-1.0, 1.0)
-}
-
-/// [`patch_rho`] reading cell `idx` of the whole-frame raster instead of running
-/// `region_content_into` — the scalar tail of the grid-fed full paths. Bit-identical to
-/// [`patch_rho`] because the raster's coverage list and background fraction equal the
-/// per-region walk's and the pooling/normalize/cosine sequence is shared.
-#[allow(clippy::too_many_arguments)]
-fn patch_rho_cell(
-    model: &ClipModel,
-    grid: &GridContent,
-    idx: usize,
-    bias: f64,
-    background_weight: f64,
-    object_entries: &[(u32, u32, u32)],
-    flat: &[(u32, f64)],
-    background_flat: &[(u32, f64)],
-    extra: &[(Concept, Embedding)],
-    accumulator: &mut Embedding,
-    normalized: &mut Embedding,
-    query_embedding: &Embedding,
-) -> f64 {
-    accumulator.reset_zero(model.config.dim);
-    pool_patch_concepts(
-        model,
-        grid.coverage(idx),
-        grid.background_fraction()[idx],
-        background_weight,
-        object_entries,
-        flat,
-        background_flat,
-        extra,
-        |embedding, w| accumulator.add_scaled(embedding, w),
-    );
-    normalized.assign_normalized_from(accumulator);
-    let raw = normalized.cosine(query_embedding);
-    ((raw - bias) / (1.0 - bias)).clamp(-1.0, 1.0)
-}
-
-/// [`patch_rho`] over [`RHO_LANES`] patches in lockstep — the Eq. 1 vector kernel.
-///
-/// Phase A pools each patch's concepts scalar-per-lane into lane `l`'s contiguous slice of
-/// `lane_acc`, running exactly `patch_rho`'s accumulation sequence (same products, same
-/// order, unit-stride writes). Phase B then runs the normalize → cosine reductions for all
-/// eight lanes simultaneously: the accumulators are transposed into the dimension-major SoA
-/// `tile` (dimension `d`'s eight lane values adjacent), so every per-dimension step walks
-/// unit-stride memory and the fixed-width lane loops are the axis LLVM turns into packed
-/// SIMD. Bit-identity to the scalar path holds because each *lane's* reduction still sums
-/// in ascending-dimension order — the exact order of [`Embedding::norm`] and
-/// [`Embedding::dot`] — and lanes never mix. The `norm < 1e-12` copy branch of
-/// [`Embedding::assign_normalized_from`] is reproduced branchlessly by dividing by 1.0
-/// (IEEE division by 1.0 is exact), and `query_norm` is the memoized value of the same
-/// deterministic `norm()` the scalar `cosine` recomputes per patch.
-#[allow(clippy::too_many_arguments)]
-fn patch_rho_batch(
-    model: &ClipModel,
-    frame: &Frame,
-    rects: &[Rect; RHO_LANES],
-    bias: f64,
-    background_weight: f64,
-    content: &mut RegionContent,
-    object_entries: &[(u32, u32, u32)],
-    flat: &[(u32, f64)],
-    background_flat: &[(u32, f64)],
-    extra: &[(Concept, Embedding)],
-    lane_acc: &mut Vec<f64>,
-    tile: &mut Vec<f64>,
-    query_embedding: &Embedding,
-    query_norm: f64,
-    out: &mut [f64; RHO_LANES],
-) {
-    let dim = model.config.dim;
-    ensure_lane_buffers(lane_acc, tile, dim);
-    // Phase A: pool each lane's concepts — the scalar `patch_rho` loop verbatim, writing
-    // into the lane's private contiguous accumulator slice.
-    for (lane, rect) in rects.iter().enumerate() {
-        frame.region_content_into(rect, content);
-        let acc = &mut lane_acc[lane * dim..(lane + 1) * dim];
-        pool_patch_concepts(
-            model,
-            &content.object_coverage,
-            content.background_fraction,
-            background_weight,
-            object_entries,
-            flat,
-            background_flat,
-            extra,
-            |embedding, w| {
+    /// [`PatchKernel::rho_one`] over [`RHO_LANES`] patch inputs in lockstep — the Eq. 1
+    /// vector kernel.
+    ///
+    /// Phase A pools each patch's concepts scalar-per-lane into lane `l`'s contiguous slice
+    /// of `lane_acc`, running exactly `rho_one`'s accumulation sequence (same products,
+    /// same order, unit-stride writes). Phase B then runs the normalize → cosine reductions
+    /// for all eight lanes simultaneously: the accumulators are transposed into the
+    /// dimension-major SoA `tile` (dimension `d`'s eight lane values adjacent), so every
+    /// per-dimension step walks unit-stride memory and the fixed-width lane loops are the
+    /// axis LLVM turns into packed SIMD. Bit-identity to the scalar path holds because each
+    /// *lane's* reduction still sums in ascending-dimension order — the exact order of
+    /// [`Embedding::norm`] and [`Embedding::dot`] — and lanes never mix. The
+    /// `norm < 1e-12` copy branch of [`Embedding::assign_normalized_from`] is reproduced
+    /// branchlessly by dividing by 1.0 (IEEE division by 1.0 is exact), and `query_norm`
+    /// is the memoized value of the same deterministic `norm()` the scalar `cosine`
+    /// recomputes per patch.
+    fn rho_lanes(
+        &self,
+        inputs: &[(&[(u32, f64)], f64); RHO_LANES],
+        lane: &mut ClipLaneScratch,
+        out: &mut [f64; RHO_LANES],
+    ) {
+        let dim = self.model.config.dim;
+        ensure_lane_buffers(&mut lane.lane_acc, &mut lane.tile, dim);
+        for (l, &(coverage, background_fraction)) in inputs.iter().enumerate() {
+            let acc = &mut lane.lane_acc[l * dim..(l + 1) * dim];
+            self.pool(coverage, background_fraction, |embedding, w| {
                 for (a, b) in acc.iter_mut().zip(embedding.values()) {
                     *a += b * w;
                 }
-            },
+            });
+        }
+        rho_reduce_lanes(
+            &lane.lane_acc,
+            &mut lane.tile,
+            self.query_embedding,
+            self.query_norm,
+            self.model.config.similarity_bias,
+            out,
         );
     }
-    rho_reduce_lanes(lane_acc, tile, query_embedding, query_norm, bias, out);
+
+    /// Evaluates every patch of `out`, which holds the grid cells starting at `start`:
+    /// groups of [`RHO_LANES`] consecutive cells through the vector kernel, the rest
+    /// through the scalar path. The unmemoized full map and each chunk of the
+    /// data-parallel map run this.
+    fn rho_range(&self, grid: &GridContent, start: usize, out: &mut [f64], lane: &mut ClipLaneScratch) {
+        let cell = |idx: usize| (grid.coverage(idx), grid.background_fraction()[idx]);
+        let mut groups = out.chunks_exact_mut(RHO_LANES);
+        let mut base = start;
+        for group in &mut groups {
+            let inputs = std::array::from_fn(|l| cell(base + l));
+            let group: &mut [f64; RHO_LANES] = group.try_into().expect("chunks_exact_mut");
+            self.rho_lanes(&inputs, lane, group);
+            base += RHO_LANES;
+        }
+        for (offset, value) in groups.into_remainder().iter_mut().enumerate() {
+            let (coverage, background_fraction) = cell(base + offset);
+            *value = self.rho_one(coverage, background_fraction, lane);
+            debug_assert!((-1.0..=1.0).contains(value), "rho out of [-1, 1]");
+        }
+    }
 }
 
-/// [`patch_rho_batch`] fed by the whole-frame raster: the eight consecutive patches
-/// starting at `base` pool straight from [`GridContent`]'s per-cell coverage lists —
-/// no per-patch placement intersections at all — then share the same lockstep phase B.
-/// This is the kernel the full (non-incremental) correlation paths run.
-#[allow(clippy::too_many_arguments)]
-fn patch_rho_batch_grid(
-    model: &ClipModel,
-    grid: &GridContent,
-    base: usize,
-    bias: f64,
-    background_weight: f64,
-    object_entries: &[(u32, u32, u32)],
-    flat: &[(u32, f64)],
-    background_flat: &[(u32, f64)],
-    extra: &[(Concept, Embedding)],
-    lane_acc: &mut Vec<f64>,
-    tile: &mut Vec<f64>,
-    query_embedding: &Embedding,
-    query_norm: f64,
-    out: &mut [f64; RHO_LANES],
-) {
-    let dim = model.config.dim;
-    ensure_lane_buffers(lane_acc, tile, dim);
-    for lane in 0..RHO_LANES {
-        let idx = base + lane;
-        let acc = &mut lane_acc[lane * dim..(lane + 1) * dim];
-        pool_patch_concepts(
-            model,
-            grid.coverage(idx),
-            grid.background_fraction()[idx],
-            background_weight,
-            object_entries,
-            flat,
-            background_flat,
-            extra,
-            |embedding, w| {
-                for (a, b) in acc.iter_mut().zip(embedding.values()) {
-                    *a += b * w;
-                }
-            },
-        );
+/// One memoized map computation: patches are looked up one by one, new inputs queue in
+/// the memo and run through the vector kernel [`RHO_LANES`] at a time as soon as that many
+/// are pending, and patches whose input was still pending are filled in at the end.
+struct MemoPass<'s> {
+    memo: &'s mut PatchMemo,
+    lane: &'s mut ClipLaneScratch,
+    deferred: &'s mut Vec<(u32, u32)>,
+}
+
+impl<'s> MemoPass<'s> {
+    /// Starts a pass that will look up at most `incoming` patches of a `patches`-patch
+    /// grid under `key` (see [`PatchMemo::begin`]).
+    fn begin(
+        memo: &'s mut PatchMemo,
+        lane: &'s mut ClipLaneScratch,
+        deferred: &'s mut Vec<(u32, u32)>,
+        key: MemoKey,
+        incoming: usize,
+        patches: usize,
+    ) -> Self {
+        memo.begin(key, incoming, patches);
+        deferred.clear();
+        Self { memo, lane, deferred }
     }
-    rho_reduce_lanes(lane_acc, tile, query_embedding, query_norm, bias, out);
+
+    /// Looks patch `idx` up: a resolved hit is written to `values[idx]` at once; anything
+    /// else waits for its entry's evaluation.
+    fn step(
+        &mut self,
+        kernel: &PatchKernel<'_>,
+        values: &mut [f64],
+        idx: usize,
+        coverage: &[(u32, f64)],
+        background_fraction: f64,
+    ) {
+        match self.memo.lookup_or_insert(coverage, background_fraction) {
+            Ok(rho) => values[idx] = rho,
+            Err(entry) => {
+                self.deferred.push((idx as u32, entry));
+                if self.memo.pending() == RHO_LANES {
+                    self.evaluate(kernel, false);
+                }
+            }
+        }
+    }
+
+    /// Evaluates what is still pending and writes every deferred patch.
+    fn finish(mut self, kernel: &PatchKernel<'_>, values: &mut [f64]) {
+        self.evaluate(kernel, true);
+        for &(idx, entry) in self.deferred.iter() {
+            values[idx as usize] = self.memo.rho(entry);
+        }
+    }
+
+    /// Runs the pending entries through the kernel: full groups through the vector
+    /// kernel, and with `tail` the remainder through the scalar path.
+    fn evaluate(&mut self, kernel: &PatchKernel<'_>, tail: bool) {
+        let mut rho = [0.0f64; RHO_LANES];
+        while self.memo.pending() >= RHO_LANES {
+            let inputs = std::array::from_fn(|l| self.memo.pending_input(l));
+            kernel.rho_lanes(&inputs, self.lane, &mut rho);
+            self.memo.resolve(&rho);
+        }
+        while tail && self.memo.pending() > 0 {
+            let (coverage, background_fraction) = self.memo.pending_input(0);
+            let value = kernel.rho_one(coverage, background_fraction, self.lane);
+            self.memo.resolve(&[value]);
+        }
+    }
 }
 
 /// Sizes (or zeroes) the per-lane accumulator block and its transposed tile for `dim`.
@@ -1016,9 +966,9 @@ fn ensure_lane_buffers(lane_acc: &mut Vec<f64>, tile: &mut Vec<f64>, dim: usize)
     debug_assert_eq!(tile.len(), lane_acc.len());
 }
 
-/// Phase B of the vector kernel, shared by both batch variants: transpose the lane
-/// accumulators into the dimension-major tile, then run the normalize → cosine →
-/// calibration reductions for all [`RHO_LANES`] lanes in lockstep.
+/// Phase B of the vector kernel: transpose the lane accumulators into the dimension-major
+/// tile, then run the normalize → cosine → calibration reductions for all [`RHO_LANES`]
+/// lanes in lockstep.
 fn rho_reduce_lanes(
     lane_acc: &[f64],
     tile: &mut [f64],
@@ -1559,6 +1509,63 @@ mod tests {
         let naive = model.correlation_map_naive(&frame, &query);
         let mut scratch = ClipScratch::new();
         assert_eq!(model.correlation_map_with(&frame, &query, &mut scratch), &naive);
+    }
+
+    #[test]
+    fn memoized_map_evaluates_each_distinct_input_once() {
+        let model = ClipModel::mobile_default();
+        let source = VideoSource::new(basketball_game(1), SourceConfig::fps30(5.0));
+        let frame = source.frame(0);
+        let query = TextQuery::from_words(
+            "Could you tell me the present score of the game?",
+            model.ontology(),
+        );
+        let mut scratch = ClipScratch::new();
+        let unmemoized = model
+            .correlation_map_unmemoized(&frame, &query, &mut scratch)
+            .clone();
+        assert_eq!(scratch.take_patch_counts(), PatchCounts::default());
+        let patches = unmemoized.dims().len() as u64;
+        let memoized = model.correlation_map_with(&frame, &query, &mut scratch);
+        assert_eq!(memoized, &unmemoized);
+        let cold = scratch.take_patch_counts();
+        assert_eq!(cold.lookups, patches);
+        assert!(
+            cold.evals > 0 && cold.evals < patches / 4,
+            "{} of {patches} patches evaluated",
+            cold.evals
+        );
+        // The same frame again: every patch is a hit.
+        let _ = model.correlation_map_with(&frame, &query, &mut scratch);
+        assert_eq!(
+            scratch.take_patch_counts(),
+            PatchCounts {
+                lookups: patches,
+                evals: 0
+            }
+        );
+        // A new query empties the memo: the same inputs are evaluated again, against it.
+        let other = TextQuery::from_words("How many spectators can be seen?", model.ontology());
+        let switched = model.correlation_map_with(&frame, &other, &mut scratch);
+        assert_eq!(switched, &model.correlation_map_naive(&frame, &other));
+        assert_eq!(scratch.take_patch_counts().evals, cold.evals);
+    }
+
+    #[test]
+    fn memo_survives_scene_switches_under_one_query() {
+        // Background-only patches have the same input (no coverage, background 1.0) in
+        // every scene, but a different ρ: the frame fingerprint must keep them apart.
+        let model = ClipModel::mobile_default();
+        let query = TextQuery::from_words("Infer what season it might be", model.ontology());
+        let mut scratch = ClipScratch::new();
+        for frame in [
+            frame_of(basketball_game(1)),
+            frame_of(dog_park(1)),
+            frame_of(basketball_game(1)),
+        ] {
+            let map = model.correlation_map_coherent(&frame, &query, &mut scratch);
+            assert_eq!(map, &model.correlation_map_naive(&frame, &query));
+        }
     }
 
     #[test]

@@ -46,32 +46,15 @@ impl ImportanceMap {
         }
     }
 
-    /// Starts an in-place refill: sets the geometry and clears the values, keeping the
-    /// allocation. Callers push exactly `dims.len()` values with
-    /// [`ImportanceMap::push_value`] and then call [`ImportanceMap::finish_refill`].
-    pub(crate) fn begin_refill(&mut self, dims: GridDims, width: u32, height: u32) {
-        self.dims = dims;
-        self.width = width;
-        self.height = height;
-        self.rho.clear();
-        self.rho.reserve(dims.len());
-    }
-
-    /// Appends one value during an in-place refill.
-    pub(crate) fn push_value(&mut self, rho: f64) {
-        debug_assert!((-1.0..=1.0).contains(&rho), "rho out of [-1, 1]");
-        self.rho.push(rho);
-    }
-
-    /// Finishes an in-place refill, enforcing the same invariants as [`ImportanceMap::new`].
+    /// Finishes an in-place refill, enforcing the same size invariant as
+    /// [`ImportanceMap::new`] (writers check the range as they compute each value).
     pub(crate) fn finish_refill(&self) {
         assert_eq!(self.rho.len(), self.dims.len(), "importance map size mismatch");
     }
 
-    /// Starts an in-place refill like [`ImportanceMap::begin_refill`], but sizes the value
-    /// buffer up front (zero-filled) and exposes it for direct indexed writes — the form
-    /// the data-parallel correlation path uses to let each pool lane fill its own disjoint
-    /// patch range. Reuses the existing allocation after warmup.
+    /// Starts an in-place refill: sets the geometry, sizes the value buffer (zero-filled)
+    /// and exposes it for direct indexed writes, reusing the existing allocation. Callers
+    /// write every value and then call [`ImportanceMap::finish_refill`].
     pub(crate) fn refill_values_mut(&mut self, dims: GridDims, width: u32, height: u32) -> &mut [f64] {
         self.dims = dims;
         self.width = width;
@@ -81,10 +64,9 @@ impl ImportanceMap {
         &mut self.rho
     }
 
-    /// Overwrites one value in place during an incremental update.
-    pub(crate) fn set_value(&mut self, index: usize, rho: f64) {
-        debug_assert!((-1.0..=1.0).contains(&rho), "rho out of [-1, 1]");
-        self.rho[index] = rho;
+    /// The values for in-place updates (the incremental paths overwrite dirty patches).
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.rho
     }
 
     /// The patch grid.

@@ -22,10 +22,12 @@
 pub mod clip;
 pub mod embedding;
 pub mod importance;
+mod memo;
 pub mod text;
 pub mod vision;
 
 pub use clip::{ClipConfig, ClipModel, ClipParScratch, ClipScratch};
 pub use embedding::Embedding;
 pub use importance::ImportanceMap;
-pub use text::TextQuery;
+pub use memo::PatchCounts;
+pub use text::{QueryBuilder, TextQuery};

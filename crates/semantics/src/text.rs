@@ -22,22 +22,7 @@ pub struct TextQuery {
 impl TextQuery {
     /// Builds a query by lexically matching `text` against the ontology vocabulary.
     pub fn from_words(text: &str, ontology: &Ontology) -> Self {
-        let padded = format!(" {} ", normalize(text));
-        let mut concepts = Vec::new();
-        for concept in ontology.concepts() {
-            let name = concept.name();
-            let multi_word = name.contains('-');
-            // A concept "dog-head" should match the surface forms "dog-head", "dog head".
-            if mentions(&padded, name, false) || (multi_word && mentions(&padded, name, true)) {
-                // Multi-word concepts are more specific; weight them a little higher.
-                let weight = if multi_word { 1.0 } else { 0.9 };
-                concepts.push((concept.clone(), weight));
-            }
-        }
-        Self {
-            text: text.to_string(),
-            concepts,
-        }
+        Self::from_words_and_concepts(text, ontology, std::iter::empty::<String>())
     }
 
     /// Builds a query from explicit concepts (the path DeViBench facts use).
@@ -62,16 +47,13 @@ impl TextQuery {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        let mut q = Self::from_words(text, ontology);
-        for c in extra {
-            let concept = Concept::new(c.into());
-            if let Some(entry) = q.concepts.iter_mut().find(|(existing, _)| *existing == concept) {
-                entry.1 = entry.1.max(1.0);
-            } else {
-                q.concepts.push((concept, 1.0));
-            }
-        }
-        q
+        let extra: Vec<String> = extra.into_iter().map(Into::into).collect();
+        let mut query = Self {
+            text: String::new(),
+            concepts: Vec::new(),
+        };
+        QueryBuilder::new().refill(&mut query, text, ontology, &extra);
+        query
     }
 
     /// True when no concepts could be extracted (the proactive-context open question in §4:
@@ -79,6 +61,170 @@ impl TextQuery {
     pub fn is_empty(&self) -> bool {
         self.concepts.is_empty()
     }
+}
+
+/// Derives [`TextQuery`]s in place, the way a long-lived conversation does: a new question
+/// each turn reuses the query's text and concept-name buffers (names a shorter query no
+/// longer needs wait in a spare list for the next longer one), so once the buffers have
+/// grown to the conversation's questions a re-derivation allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct QueryBuilder {
+    /// The words and explicit concepts of the last derivation.
+    built: QueryStamp,
+    /// The space-padded normalized text being matched.
+    padded: String,
+    /// Concept-name buffers released by earlier derivations.
+    spare: Vec<Concept>,
+}
+
+impl QueryBuilder {
+    /// A builder with empty buffers.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Makes `query` exactly [`TextQuery::from_words_and_concepts`]`(text, ontology,
+    /// extra)`. When `text` and `extra` equal the previous call's, `query` is taken to
+    /// still hold that derivation and is left alone. Returns whether `query` was rebuilt.
+    pub fn refill<S: AsRef<str>>(
+        &mut self,
+        query: &mut TextQuery,
+        text: &str,
+        ontology: &Ontology,
+        extra: &[S],
+    ) -> bool {
+        let inputs = || extra.iter().map(|c| (c.as_ref(), 0u64));
+        if self.built.matches(text, inputs()) {
+            return false;
+        }
+        self.built.record(text, inputs());
+        query.text.clear();
+        query.text.push_str(text);
+        normalize_padded_into(text, &mut self.padded);
+        let concepts = &mut query.concepts;
+        let mut len = 0;
+        for concept in ontology.concepts() {
+            let name = concept.name();
+            let multi_word = name.contains('-');
+            // A concept "dog-head" should match the surface forms "dog-head", "dog head".
+            if mentions(&self.padded, name, false) || (multi_word && mentions(&self.padded, name, true)) {
+                // Multi-word concepts are more specific; weight them a little higher.
+                let slot = next_slot(concepts, &mut self.spare, len);
+                slot.0 .0.push_str(name);
+                slot.1 = if multi_word { 1.0 } else { 0.9 };
+                len += 1;
+            }
+        }
+        for name in extra {
+            let name = name.as_ref();
+            let slot = next_slot(concepts, &mut self.spare, len);
+            // `Concept::new`'s lowercasing, in place for ASCII names.
+            if name.is_ascii() {
+                slot.0 .0.extend(name.chars().map(|c| c.to_ascii_lowercase()));
+            } else {
+                slot.0 .0.push_str(&name.to_lowercase());
+            }
+            slot.1 = 1.0;
+            let (kept, candidate) = concepts.split_at_mut(len);
+            if let Some(entry) = kept.iter_mut().find(|(existing, _)| *existing == candidate[0].0) {
+                entry.1 = entry.1.max(1.0);
+            } else {
+                len += 1;
+            }
+        }
+        while concepts.len() > len {
+            let (concept, _) = concepts.pop().expect("more slots than concepts");
+            self.spare.push(concept);
+        }
+        true
+    }
+}
+
+/// Slot `len` of `concepts`, emptied for the next concept: the slot already there, a spare
+/// name buffer, or a new one.
+fn next_slot<'c>(
+    concepts: &'c mut Vec<(Concept, f64)>,
+    spare: &mut Vec<Concept>,
+    len: usize,
+) -> &'c mut (Concept, f64) {
+    if len == concepts.len() {
+        let concept = spare.pop().unwrap_or_else(|| Concept(String::new()));
+        concepts.push((concept, 0.0));
+    }
+    let slot = &mut concepts[len];
+    slot.0 .0.clear();
+    slot
+}
+
+/// A capacity-keeping record of a text plus `(name, weight bits)` items, compared in place:
+/// what a scratch remembers about the query (or question) it last derived something from.
+/// Recording and comparing allocate nothing once the buffers have grown to the largest
+/// record seen.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct QueryStamp {
+    valid: bool,
+    text: String,
+    /// Every item's name, concatenated.
+    names: String,
+    /// `(end of the item's name in names, weight bits)` per item.
+    items: Vec<(usize, u64)>,
+}
+
+impl QueryStamp {
+    /// Whether a record is held and equals `text` and `items` (weights bit for bit).
+    pub(crate) fn matches<'a>(
+        &self,
+        text: &str,
+        items: impl ExactSizeIterator<Item = (&'a str, u64)>,
+    ) -> bool {
+        if !self.valid || self.text != text || self.items.len() != items.len() {
+            return false;
+        }
+        let mut start = 0;
+        self.items
+            .iter()
+            .zip(items)
+            .all(|(&(end, bits), (name, weight))| {
+                let same = &self.names[start..end] == name && bits == weight;
+                start = end;
+                same
+            })
+    }
+
+    /// Records `text` and `items`, replacing any previous record.
+    pub(crate) fn record<'a>(&mut self, text: &str, items: impl Iterator<Item = (&'a str, u64)>) {
+        self.text.clear();
+        self.text.push_str(text);
+        self.names.clear();
+        self.items.clear();
+        for (name, weight) in items {
+            self.names.push_str(name);
+            self.items.push((self.names.len(), weight));
+        }
+        self.valid = true;
+    }
+
+    /// [`QueryStamp::matches`] for a query's text and weighted concepts.
+    pub(crate) fn matches_query(&self, query: &TextQuery) -> bool {
+        self.matches(&query.text, stamp_items(query))
+    }
+
+    /// [`QueryStamp::record`] for a query's text and weighted concepts.
+    pub(crate) fn record_query(&mut self, query: &TextQuery) {
+        self.record(&query.text, stamp_items(query));
+    }
+
+    /// Forgets the record: nothing matches until the next one.
+    pub(crate) fn invalidate(&mut self) {
+        self.valid = false;
+    }
+}
+
+fn stamp_items(query: &TextQuery) -> impl ExactSizeIterator<Item = (&str, u64)> {
+    query
+        .concepts
+        .iter()
+        .map(|(concept, weight)| (concept.name(), weight.to_bits()))
 }
 
 /// True when `padded` (space-padded normalized text) contains `name` as a whole-word run,
@@ -108,6 +254,35 @@ fn normalize(text: &str) -> String {
         .split_whitespace()
         .collect::<Vec<_>>()
         .join(" ")
+}
+
+/// Writes `format!(" {} ", normalize(text))` into `out`, reusing its buffer. ASCII text
+/// (every question the scene templates ask) is normalized in one pass without
+/// allocating; other text goes through [`normalize`].
+fn normalize_padded_into(text: &str, out: &mut String) {
+    out.clear();
+    out.push(' ');
+    if text.is_ascii() {
+        let mut previous = 0u8;
+        let mut gap = false;
+        for byte in text.bytes().map(|b| b.to_ascii_lowercase()) {
+            // "'s" becomes a space, so an `s` right after an apostrophe ends a word.
+            let keep = (byte.is_ascii_alphanumeric() || byte == b'-') && !(byte == b's' && previous == b'\'');
+            previous = byte;
+            if !keep {
+                gap = true;
+                continue;
+            }
+            if gap && out.len() > 1 {
+                out.push(' ');
+            }
+            gap = false;
+            out.push(byte as char);
+        }
+    } else {
+        out.push_str(&normalize(text));
+    }
+    out.push(' ');
 }
 
 #[cfg(test)]
@@ -212,5 +387,75 @@ mod tests {
     #[test]
     fn normalization_handles_punctuation() {
         assert_eq!(normalize("The DOG'S head, please!"), "the dog head please");
+    }
+
+    #[test]
+    fn ascii_normalization_matches_the_allocating_form() {
+        let texts = [
+            "The DOG'S head, please!",
+            "dog'sled ''s 's's ''ss 'S",
+            "  leading and trailing  ",
+            "",
+            "  ",
+            "-",
+            "a-b--c - d",
+            "What's the SCORE? (home-team's)",
+            "tab\tand\nnewline",
+        ];
+        let mut out = String::new();
+        for text in texts {
+            normalize_padded_into(text, &mut out);
+            assert_eq!(out, format!(" {} ", normalize(text)), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn builder_refills_match_fresh_queries_in_any_order() {
+        let o = ontology();
+        let mut questions: Vec<(String, Vec<String>)> = Vec::new();
+        for kind in TemplateKind::ALL {
+            for fact in kind.build(1).facts {
+                questions.push((fact.question, fact.query_concepts));
+            }
+        }
+        questions.push((
+            "über straße: naïve café's".into(),
+            vec!["Café".into(), "DOG".into()],
+        ));
+        questions.push(("".into(), vec!["dog".into(), "dog".into(), "Dog".into()]));
+        let mut builder = QueryBuilder::new();
+        let mut query = TextQuery::from_concepts("", std::iter::empty::<String>());
+        for round in 0..3 {
+            for (i, (text, extra)) in questions.iter().enumerate() {
+                let (text, extra) = if round == 1 {
+                    let reversed = &questions[questions.len() - 1 - i];
+                    (&reversed.0, &reversed.1)
+                } else {
+                    (text, extra)
+                };
+                builder.refill(&mut query, text, &o, extra);
+                let fresh = TextQuery::from_words_and_concepts(text, &o, extra.iter().cloned());
+                assert_eq!(query, fresh, "{text:?}");
+                // The same inputs again: nothing to rebuild.
+                assert!(!builder.refill(&mut query, text, &o, extra));
+            }
+        }
+    }
+
+    #[test]
+    fn stamps_compare_text_names_and_weight_bits() {
+        let q = TextQuery::from_concepts("find it", ["a", "bc"]);
+        let mut stamp = QueryStamp::default();
+        assert!(!stamp.matches_query(&q));
+        stamp.record_query(&q);
+        assert!(stamp.matches_query(&q));
+        // Same concatenated names, split differently.
+        assert!(!stamp.matches_query(&TextQuery::from_concepts("find it", ["ab", "c"])));
+        assert!(!stamp.matches_query(&TextQuery::from_concepts("find it!", ["a", "bc"])));
+        let mut reweighted = q.clone();
+        reweighted.concepts[1].1 = 0.5;
+        assert!(!stamp.matches_query(&reweighted));
+        stamp.invalidate();
+        assert!(!stamp.matches_query(&q));
     }
 }

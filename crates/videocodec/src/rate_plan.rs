@@ -83,27 +83,19 @@ impl RatePlan {
         self.dims
     }
 
-    pub(crate) fn grid_mut(&mut self) -> &mut GridContent {
-        &mut self.grid
-    }
-
     pub(crate) fn grid(&self) -> &GridContent {
         &self.grid
     }
 
-    pub(crate) fn set_geometry(&mut self, dims: GridDims) {
+    /// Sets the geometry and sizes the per-block buffers for it (their values are
+    /// overwritten by the caller), keeping every allocation.
+    fn set_geometry(&mut self, dims: GridDims) {
         self.dims = dims;
-        self.lead.clear();
-        self.tail.clear();
-        self.pixels.clear();
+        self.lead.resize(dims.len(), 0.0);
+        self.tail.resize(dims.len(), 0.0);
+        self.pixels.resize(dims.len(), 0.0);
         self.base_qp.clear();
         self.monotone_under = None;
-    }
-
-    pub(crate) fn push_block(&mut self, lead: f64, tail: f64, pixels: f64) {
-        self.lead.push(lead);
-        self.tail.push(tail);
-        self.pixels.push(pixels);
     }
 
     pub(crate) fn snapshot_base(&mut self, base: &QpMap) {
@@ -129,7 +121,7 @@ impl Encoder {
         let dims = self.grid_for(frame);
         let frame_type = self.config().gop.frame_type(frame.index);
         plan.set_geometry(dims);
-        plan.grid_mut().fill(frame, self.config().block_size);
+        plan.grid.fill(frame, self.config().block_size);
         let rd = self.rd_model();
         // Every QP factor a probe can read is at most the table's first entry once the
         // table is monotone, so one product per block bounds every probe's rate term.
@@ -140,20 +132,28 @@ impl Encoder {
             rd.inter_base_fraction,
             rd.inter_motion_fraction,
         );
-        for idx in 0..dims.len() {
-            let grid = plan.grid();
+        // One pass over the raster, writing all three coefficient buffers per block.
+        let RatePlan {
+            lead,
+            tail,
+            pixels,
+            grid,
+            ..
+        } = plan;
+        let coefficients = lead.iter_mut().zip(tail.iter_mut()).zip(pixels.iter_mut());
+        let content = grid.complexity().iter().zip(grid.motion()).zip(grid.area());
+        for (((lead, tail), pixels), ((&complexity, &motion), &area)) in coefficients.zip(content) {
             // The identical clamp + content/type factor expressions of the encoder's rate
             // kernel (`block_bytes_one` / `block_bytes_batch`), evaluated once per frame.
-            let content_factor = 0.08 + 0.92 * grid.complexity()[idx].clamp(0.0, 1.0);
-            let tail = match frame_type {
+            let content_factor = 0.08 + 0.92 * complexity.clamp(0.0, 1.0);
+            *tail = match frame_type {
                 FrameType::Intra => 1.0,
-                FrameType::Inter => inter_base + inter_motion * grid.motion()[idx].clamp(0.0, 1.0),
+                FrameType::Inter => inter_base + inter_motion * motion.clamp(0.0, 1.0),
             };
-            let pixels = grid.area()[idx] as f64;
-            let lead = intra_bpp * content_factor;
-            let peak = (lead * peak_factor) * tail;
+            *pixels = area as f64;
+            *lead = intra_bpp * content_factor;
+            let peak = (*lead * peak_factor) * *tail;
             monotone &= peak.is_finite() && peak >= 0.0;
-            plan.push_block(lead, tail, pixels);
         }
         plan.monotone_under = monotone.then_some(peak_factor);
         if let Some(base) = base {

@@ -1,20 +1,29 @@
 //! Property-based tests of the core models' invariants across crates: Eq. 1 bounds, Eq. 2
 //! monotonicity (and LUT ≡ `powf` equivalence), R-D monotonicity, accuracy monotonicity in
-//! quality, incremental-correlation ≡ full-recompute equivalence, and relatedness-table ≡
-//! pairwise-relatedness equivalence.
+//! quality, incremental-correlation ≡ full-recompute equivalence, patch-memo ≡ naive
+//! equivalence over arbitrary call sequences, and relatedness-table ≡ pairwise-relatedness
+//! equivalence.
 
-use aivchat::core::{ChatServer, ChatSession, QpAllocator, QpAllocatorConfig};
+use aivchat::core::{
+    ChatServer, ChatSession, Conversation, NetSessionOptions, QpAllocator, QpAllocatorConfig,
+};
 use aivchat::mllm::{MllmChat, Question, QuestionFormat};
+use aivchat::netsim::PathConfig;
 use aivchat::par::MiniPool;
-use aivchat::scene::templates::TemplateKind;
-use aivchat::scene::{Concept, Frame, Ontology, SourceConfig, VideoSource};
-use aivchat::semantics::{ClipModel, ClipParScratch, ClipScratch, TextQuery};
+use aivchat::scene::templates::{basketball_game, TemplateKind};
+use aivchat::scene::Rect;
+use aivchat::scene::{
+    Concept, Frame, GridDims, Ontology, RegionContent, Scene, SceneObject, SourceConfig, VideoSource,
+};
+use aivchat::semantics::{ClipModel, ClipParScratch, ClipScratch, ImportanceMap, TextQuery};
+use aivchat::sim::SimDuration;
 use aivchat::videocodec::{
     Decoder, EncodeParScratch, EncodedFrame, Encoder, EncoderConfig, FrameType, Qp, QpMap, RdModel,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashSet;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -334,4 +343,284 @@ proptest! {
         }
         assert_table_matches_pairwise(&ontology)?;
     }
+}
+
+/// A small (640×384, 60-patch) scene of five objects drifting at odd speeds, carrying
+/// out-of-ontology concepts next to ontology ones: it changes the patch geometry against
+/// the 1080p templates, exercises the `extra` embedding table, and produces more distinct
+/// patch inputs over a few dozen frames than the patch memo may hold (2 per patch).
+fn drifting_gizmos() -> Scene {
+    let mut scene = Scene::new("drifting-gizmos", 640, 384).with_background(
+        0.3,
+        0.1,
+        vec![
+            (Concept::new("mystery-backdrop"), 1.0),
+            (Concept::new("grass"), 0.5),
+        ],
+    );
+    let objects = [
+        (1, "unheard-of-gizmo", Rect::new(37, 21, 149, 97), (41.3, 17.9)),
+        (2, "scoreboard", Rect::new(250, 40, 90, 170), (-23.1, 31.7)),
+        (3, "dog", Rect::new(400, 200, 201, 77), (13.7, -29.3)),
+        (4, "another-novel-thing", Rect::new(90, 250, 61, 61), (57.1, 5.3)),
+        (5, "jersey", Rect::new(500, 20, 113, 133), (-37.9, 19.1)),
+    ];
+    for (id, concept, rect, velocity) in objects {
+        scene.add_object(
+            SceneObject::new(id, concept, rect)
+                .with_concept(concept, 0.9)
+                .with_concept("mystery-backdrop", 0.2)
+                .with_detail(0.5)
+                .with_texture(0.5)
+                .with_motion(0.5, velocity),
+        );
+    }
+    scene
+}
+
+/// Every distinct patch input (coverage list + background fraction, bit for bit) over
+/// `frames`, as the Eq. 1 kernel sees them.
+fn distinct_patch_inputs(frames: &[Frame], patch_size: u32) -> usize {
+    let mut content = RegionContent::empty();
+    let mut inputs = HashSet::new();
+    for frame in frames {
+        let dims = GridDims::for_frame(frame.width, frame.height, patch_size);
+        for idx in 0..dims.len() {
+            let (row, col) = dims.position(idx);
+            frame.region_content_into(&dims.cell_rect(row, col, frame.width, frame.height), &mut content);
+            let coverage: Vec<(u32, u64)> = content
+                .object_coverage
+                .iter()
+                .map(|&(id, f)| (id, f.to_bits()))
+                .collect();
+            inputs.insert((coverage, content.background_fraction.to_bits()));
+        }
+    }
+    inputs.len()
+}
+
+/// One step of a memo-equivalence script: which scratch entry point computes the map.
+#[derive(Debug, Clone, Copy)]
+enum MapCall {
+    With,
+    Coherent,
+    /// Caller-supplied dirty set: the patches whose value changed, plus one arbitrary patch.
+    Update(usize),
+    /// The data-parallel path on two lanes, through the same scratch.
+    Par,
+}
+
+/// Runs `call` for `frame`/`query` on `scratch` and checks the map against the naive
+/// per-patch reference, bit for bit. `held` is the naive map of whatever the scratch last
+/// computed (the reference the caller-supplied dirty set is derived from), or `None` after
+/// a `take_map`.
+fn check_memoized_call(
+    model: &ClipModel,
+    scratch: &mut ClipParScratch,
+    pool: &MiniPool,
+    held: &mut Option<ImportanceMap>,
+    frame: &Frame,
+    query: &TextQuery,
+    call: MapCall,
+) -> Result<(), TestCaseError> {
+    let naive = model.correlation_map_naive(frame, query);
+    let map = match call {
+        MapCall::With => model.correlation_map_with(frame, query, scratch.sequential()),
+        MapCall::Coherent => model.correlation_map_coherent(frame, query, scratch.sequential()),
+        MapCall::Update(extra) => {
+            let mut dirty: Vec<usize> = match held.as_ref().filter(|h| h.dims() == naive.dims()) {
+                Some(previous) => previous
+                    .values()
+                    .iter()
+                    .zip(naive.values())
+                    .enumerate()
+                    .filter(|(_, (a, b))| a.to_bits() != b.to_bits())
+                    .map(|(i, _)| i)
+                    .collect(),
+                None => (0..naive.dims().len()).collect(),
+            };
+            dirty.push(extra % naive.dims().len());
+            model.correlation_map_update(frame, query, &dirty, scratch.sequential())
+        }
+        MapCall::Par => model.correlation_map_par(frame, query, pool, scratch),
+    };
+    prop_assert!(
+        map == &naive,
+        "{call:?} on frame {} ({}x{}) diverged from the naive map",
+        frame.index,
+        frame.width,
+        frame.height
+    );
+    *held = Some(naive);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The patch memo is exact: every map the memoized paths produce equals the naive
+    /// per-patch recompute bit for bit, whatever the order of calls. One scratch runs a
+    /// script of forward steps, jumps and repeats; a query switch mid-sequence; a switch to
+    /// another template (a new frame fingerprint) under the same query; the empty query;
+    /// out-of-ontology concepts and a patch-geometry change; interleaved data-parallel and
+    /// `take_map` calls; and a stretch with more distinct patch inputs than the memo holds.
+    #[test]
+    fn memoized_correlation_matches_naive_over_any_call_sequence(
+        template_a in 0usize..5,
+        template_b in 0usize..5,
+        seed in 0u64..20,
+        fact_idx in 0usize..4,
+        start in 0u64..30,
+        jump in 2u64..40,
+        script_seed in 0u64..1_000_000,
+    ) {
+        let model = ClipModel::mobile_default();
+        let scene_a = TemplateKind::ALL[template_a].build(seed);
+        let scene_b = TemplateKind::ALL[template_b].build(seed + 1);
+        let question = |scene: &Scene, k: usize| {
+            let fact = &scene.facts[k % scene.facts.len()];
+            TextQuery::from_words_and_concepts(&fact.question, model.ontology(), fact.query_concepts.clone())
+        };
+        let qa = question(&scene_a, fact_idx);
+        let qb = question(&scene_a, fact_idx + 1);
+        let empty = TextQuery::from_words("qqq zzz", model.ontology());
+        let novel = TextQuery::from_concepts("find the gizmo", ["unheard-of-gizmo", "scoreboard", "grass"]);
+        let source_a = VideoSource::new(scene_a, SourceConfig::fps30(3.0));
+        let source_b = VideoSource::new(scene_b, SourceConfig::fps30(3.0));
+        let gizmos = VideoSource::new(drifting_gizmos(), SourceConfig::fps30(3.0));
+
+        let mut rng = ChaCha8Rng::seed_from_u64(script_seed);
+        let pool = MiniPool::new(2);
+        let mut scratch = ClipParScratch::new();
+        let mut held = None;
+        let mut run = |frame: &Frame, query: &TextQuery, rng: &mut ChaCha8Rng| {
+            let call = match rng.gen_range(0..8u32) {
+                0 | 1 => MapCall::With,
+                2..=4 => MapCall::Coherent,
+                5 | 6 => MapCall::Update(rng.gen_range(0..600usize)),
+                _ => MapCall::Par,
+            };
+            check_memoized_call(&model, &mut scratch, &pool, &mut held, frame, query, call)?;
+            if rng.gen_range(0..10u32) == 0 {
+                let taken = scratch.take_map();
+                prop_assert_eq!(Some(&taken), held.as_ref());
+                held = None;
+            }
+            Ok(())
+        };
+        let script_a = [start, start + 1, start + 2, start + 2, start + 2 + jump, start + 3 + jump, start];
+        // Steps, a repeat and a jump under the first question ...
+        for &i in &script_a {
+            run(&source_a.frame(i), &qa, &mut rng)?;
+        }
+        // ... a query switch mid-sequence, back and forth over the same frames ...
+        for &i in &script_a[2..] {
+            run(&source_a.frame(i), &qb, &mut rng)?;
+        }
+        run(&source_a.frame(start), &qa, &mut rng)?;
+        // ... another template (a new fingerprint) under the same query ...
+        for &i in &script_a[..4] {
+            run(&source_b.frame(i), &qa, &mut rng)?;
+        }
+        // ... the empty query, and back ...
+        run(&source_b.frame(start + 3), &empty, &mut rng)?;
+        run(&source_b.frame(start + 4), &empty, &mut rng)?;
+        run(&source_b.frame(start + 4), &qa, &mut rng)?;
+        // ... out-of-ontology concepts on another patch geometry ...
+        for i in 0..6 {
+            run(&gizmos.frame(start + 3 * i), &novel, &mut rng)?;
+        }
+        // ... and back to the first template.
+        run(&source_a.frame(start + 1), &qa, &mut rng)?;
+        run(&source_a.frame(start + 2), &qa, &mut rng)?;
+    }
+}
+
+/// The memo empties itself at 2 entries per patch; a long stretch under one query and one
+/// fingerprint with far more distinct inputs than that must stay exact through every
+/// emptying.
+#[test]
+fn memo_stays_exact_past_its_bound() {
+    let model = ClipModel::mobile_default();
+    let source = VideoSource::new(drifting_gizmos(), SourceConfig::fps30(3.0));
+    let frames: Vec<Frame> = (0..48).map(|i| source.frame(i)).collect();
+    let patches = GridDims::for_frame(640, 384, model.config().patch_size).len();
+    let distinct = distinct_patch_inputs(&frames, model.config().patch_size);
+    assert!(
+        distinct > 4 * patches,
+        "{distinct} distinct inputs do not overflow a {patches}-patch memo"
+    );
+    let queries = [
+        TextQuery::from_concepts("find the gizmo", ["unheard-of-gizmo", "scoreboard"]),
+        TextQuery::from_words("Is the dog on the grass?", model.ontology()),
+    ];
+    for query in &queries {
+        let mut scratch = ClipScratch::new();
+        for (i, frame) in frames.iter().enumerate() {
+            let naive = model.correlation_map_naive(frame, query);
+            let map = if i % 5 == 0 {
+                model.correlation_map_with(frame, query, &mut scratch)
+            } else {
+                model.correlation_map_coherent(frame, query, &mut scratch)
+            };
+            assert_eq!(map, &naive, "frame {i} of {:?}", query.text);
+        }
+        let counts = scratch.take_patch_counts();
+        assert!(
+            counts.evals > 2 * patches as u64,
+            "only {} evaluations: the memo never had to empty itself",
+            counts.evals
+        );
+    }
+}
+
+/// A warm context-aware conversation at the benchmark's geometry (1080p
+/// `basketball_game`, 1.5 s windows at 12 fps), asking a new question every turn, looks up
+/// ~123 patches per capture and evaluates at most 24 of them on average through the
+/// patch memo; without it every lookup was an evaluation.
+#[test]
+fn warm_conversation_evaluates_few_patches_per_capture() {
+    let scene = basketball_game(1);
+    let source = VideoSource::new(scene.clone(), SourceConfig::fps30(6.0));
+    let mut options = NetSessionOptions::ai_oriented(21, PathConfig::paper_section_2_2(0.01));
+    options.capture_fps = 12.0;
+    let mut conversation = Conversation::with_defaults(options, SimDuration::from_millis(200));
+    let window = |turn: usize| -> Vec<Frame> {
+        let start = (turn % 8) as f64 * source.duration_secs() / 8.0;
+        (0..18)
+            .map(|i| source.frame_at((start + i as f64 / 12.0) % source.duration_secs()))
+            .collect()
+    };
+    let question = |turn: usize| {
+        Question::from_fact(
+            &scene.facts[turn % scene.facts.len()],
+            QuestionFormat::FreeResponse,
+        )
+    };
+    for turn in 0..2 {
+        conversation.run_turn(&window(turn), &question(turn));
+    }
+    let warm = conversation.metrics_snapshot();
+    for turn in 2..10 {
+        conversation.run_turn(&window(turn), &question(turn));
+    }
+    let end = conversation.metrics_snapshot();
+    let captures = end.rate_searches - warm.rate_searches;
+    let lookups = end.clip_patch_lookups - warm.clip_patch_lookups;
+    let evals = end.clip_patch_evals - warm.clip_patch_evals;
+    assert_eq!(captures, 8 * 18, "one Eq. 1 map per capture");
+    let per_capture = |n: u64| n as f64 / captures as f64;
+    eprintln!(
+        "warm context-aware conversation: {:.1} of {:.1} patch lookups per capture evaluated",
+        per_capture(evals),
+        per_capture(lookups)
+    );
+    // Every turn starts with a full map (510 patches) under its new question.
+    assert!(lookups >= 8 * 510, "{lookups} lookups");
+    assert!(evals <= lookups);
+    assert!(
+        per_capture(evals) <= 24.0,
+        "{:.1} evaluations per capture",
+        per_capture(evals)
+    );
 }
